@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fuzz bench-guard bench-core bench-nn bench-topo bench-sweep bench-lab analyze lab check clean
+.PHONY: all build vet test race fuzz bench-guard bench-core bench-nn bench-topo bench-lab analyze lab check clean
 
 all: check
 
@@ -56,13 +56,6 @@ bench-nn:
 bench-topo:
 	TOPO_BENCH=1 TOPO_BENCH_GUARD=1 $(GO) test ./internal/netem/ -run TestBenchTopo -count=1 -v
 
-# Sweep-engine wall-clock: times a fixed classic-CCA suite at
-# workers=1 vs workers=GOMAXPROCS and records serial/parallel seconds
-# (and the core count) into BENCH_sweep.json. Run in isolation for the
-# same reason as bench-guard.
-bench-sweep:
-	BENCH_SWEEP=1 $(GO) test ./internal/exp/ -run TestBenchSweep -count=1 -v
-
 # Adversarial-lab throughput: scenarios/sec over the sweep pool,
 # recorded into BENCH_lab.json; with the guard armed the run fails if
 # throughput drops under the conservative floor. Run in isolation for
@@ -99,7 +92,7 @@ lab:
 	$(GO) run ./cmd/libra-lab tournament -cca cubic,bbr -budget 14 -dur 3s -seed 7 && \
 	rm -rf $$tmp
 
-check: vet build race fuzz bench-guard bench-core bench-nn bench-topo bench-sweep bench-lab analyze lab
+check: vet build race fuzz bench-guard bench-core bench-nn bench-topo bench-lab analyze lab
 
 clean:
 	$(GO) clean ./...

@@ -130,9 +130,11 @@ func main() {
 		return mk
 	}
 
-	// One rep = one emulated run; its capacity trace, fault schedule and
-	// controllers all derive from the rep's seed so a -reps sweep explores
-	// genuinely different channels.
+	// One rep = one emulated run through the experiment harness; its
+	// capacity trace, fault schedule and controllers all derive from the
+	// rep's seed so a -reps sweep explores genuinely different channels.
+	// With -topo, cross traffic and ACK paths come from the spec and the
+	// report attributes drops and utilisation per hop.
 	type flowSummary struct {
 		thrMbps, lossRate float64
 		rtt               time.Duration
@@ -140,24 +142,36 @@ func main() {
 	type repResult struct {
 		flows []flowSummary
 		util  float64
-		drops netem.DropStats
 		topo  *netem.Topology
 	}
-	// runTopo drives all controllers down the topology's main route via
-	// the experiment harness (cross traffic and ACK paths come from the
-	// spec) and reports per-hop drop/utilization attribution.
-	runTopo := func(jc *exp.RunContext, verbose bool) repResult {
-		name := topo.Name
-		if name == "" {
-			name = *topoArg
+	runOnce := func(jc *exp.RunContext, verbose bool) repResult {
+		s := exp.Scenario{Duration: *dur, Faults: plan, Topo: topo, Profiles: profNames}
+		var capacity trace.Trace
+		if topo != nil {
+			name := topo.Name
+			if name == "" {
+				name = *topoArg
+			}
+			s.Name = "topo:" + name
+		} else {
+			var err error
+			capacity, err = buildTrace(*traceSpec, *capMbps, *dur, jc.Seed)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(2)
+			}
+			s.Name = *traceSpec
+			if s.Name == "" {
+				s.Name = fmt.Sprintf("wired-%gMbps", *capMbps)
+			}
+			s.Capacity, s.MinRTT, s.Buffer, s.Loss = capacity, *rtt, *buffer, *loss
 		}
 		mks := make([]exp.Maker, len(names))
 		for i := range names {
 			mks[i] = makerAt(i)
 		}
-		s := exp.Scenario{Name: "topo:" + name, Duration: *dur, Faults: plan, Topo: topo, Profiles: profNames}
 		ms := jc.RunFlows(s, mks, nil, time.Second)
-		var res repResult
+		res := repResult{util: ms[0].Util, topo: ms[0].Topo}
 		for _, m := range ms {
 			if m.Failed {
 				fmt.Fprintln(os.Stderr, m.Err)
@@ -167,102 +181,26 @@ func main() {
 				thrMbps: m.ThrMbps, lossRate: m.LossRate, rtt: m.Flow.Stats.AvgRTT(),
 			})
 		}
-		res.util = ms[0].Util
-		res.topo = ms[0].Topo
 		if verbose {
 			fmt.Printf("%-6s", "t(s)")
+			if capacity != nil {
+				fmt.Printf(" %-9s", "cap(Mbps)")
+			}
 			for _, nm := range names {
 				fmt.Printf("  %-18s", nm+" thr/delay")
 			}
 			fmt.Println()
 			for t := 0; t < int(*dur/time.Second); t++ {
 				fmt.Printf("%-6d", t)
+				if capacity != nil {
+					fmt.Printf(" %-9.1f", trace.ToMbps(capacity.RateAt(time.Duration(t)*time.Second)))
+				}
 				for _, m := range ms {
 					fmt.Printf("  %6.2f / %-6.0fms ", trace.ToMbps(m.Flow.Stats.Throughput.Rate(t)), m.Flow.Stats.Delay.Mean(t))
 				}
 				fmt.Println()
 			}
 			fmt.Println()
-		}
-		return res
-	}
-	runOnce := func(jc *exp.RunContext, verbose bool) repResult {
-		if topo != nil {
-			return runTopo(jc, verbose)
-		}
-		capacity, err := buildTrace(*traceSpec, *capMbps, *dur, jc.Seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		var inj netem.FaultInjector
-		if !plan.Empty() {
-			fi, err := faults.New(plan, jc.Seed)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			inj = fi
-		}
-		n := netem.New(netem.Config{
-			Capacity:     capacity,
-			MinRTT:       *rtt,
-			BufferBytes:  *buffer,
-			LossRate:     *loss,
-			Faults:       inj,
-			Seed:         jc.Seed,
-			RecordSeries: true,
-			SeriesBucket: time.Second,
-			Tracer:       jc.Tracer,
-			Health:       jc.Health,
-		})
-		scenario := *traceSpec
-		if scenario == "" {
-			scenario = fmt.Sprintf("wired-%gMbps", *capMbps)
-		}
-		jc.EmitSpan(0, -1, "scenario:"+scenario, true)
-		flows := make([]*netem.Flow, len(names))
-		ctrlNames := make([]string, len(names))
-		for i := range names {
-			ctrl := makerAt(i)(jc.Seed + int64(i)*31)
-			ctrlNames[i] = ctrl.Name()
-			jc.EmitSpan(0, i, "flow:"+ctrlNames[i], true)
-			jc.AttachTracer(ctrl, i)
-			if i < len(profNames) {
-				jc.EmitProfile(0, i, profNames[i])
-			}
-			flows[i] = n.AddFlow(ctrl, 0, 0)
-		}
-		n.Run(*dur)
-		for i := range flows {
-			jc.EmitSpan(dur.Nanoseconds(), i, "flow:"+ctrlNames[i], false)
-		}
-		jc.EmitSpan(dur.Nanoseconds(), -1, "scenario:"+scenario, false)
-		jc.ObserveLink(n, *dur)
-
-		if verbose {
-			fmt.Printf("%-6s %-9s", "t(s)", "cap(Mbps)")
-			for _, name := range names {
-				fmt.Printf("  %-18s", name+" thr/delay")
-			}
-			fmt.Println()
-			for t := 0; t < int(*dur/time.Second); t++ {
-				at := time.Duration(t) * time.Second
-				fmt.Printf("%-6d %-9.1f", t, trace.ToMbps(capacity.RateAt(at)))
-				for _, f := range flows {
-					fmt.Printf("  %6.2f / %-6.0fms ", trace.ToMbps(f.Stats.Throughput.Rate(t)), f.Stats.Delay.Mean(t))
-				}
-				fmt.Println()
-			}
-			fmt.Println()
-		}
-
-		res := repResult{util: n.Utilization(*dur), drops: n.Link().DropStats()}
-		for _, f := range flows {
-			m := jc.Observe(n, f, *dur)
-			res.flows = append(res.flows, flowSummary{
-				thrMbps: m.ThrMbps, lossRate: m.LossRate, rtt: f.Stats.AvgRTT(),
-			})
 		}
 		return res
 	}
@@ -274,7 +212,7 @@ func main() {
 				names[i], fs.thrMbps, fs.rtt.Round(time.Millisecond), fs.lossRate*100)
 		}
 		fmt.Printf("link utilisation: %.3f\n", res.util)
-		if res.topo != nil {
+		if topo != nil {
 			fmt.Println("per-link:")
 			for _, l := range res.topo.Links() {
 				ds := l.DropStats()
@@ -282,7 +220,7 @@ func main() {
 					l.Label(), res.topo.LinkUtilization(l, *dur),
 					ds.Tail, ds.Channel, ds.AQM, ds.Blackout, ds.Burst, ds.Bytes, ds.Marked)
 			}
-		} else if ds := res.drops; ds.Total() > 0 {
+		} else if ds := res.topo.Links()[0].DropStats(); ds.Total() > 0 {
 			fmt.Printf("drops: %d tail, %d channel, %d aqm, %d blackout, %d burst (%d bytes)\n",
 				ds.Tail, ds.Channel, ds.AQM, ds.Blackout, ds.Burst, ds.Bytes)
 		}

@@ -76,7 +76,7 @@ func TestWatchdogDecaysDuringOutage(t *testing.T) {
 	l := New(Config{CC: cc.Config{Seed: 23}})
 	l.OnTick(0)
 	base := l.BaseRate()
-	now := silentCycle(t, l, 0) // startup (not armed)
+	now := silentCycle(t, l, 0)  // startup (not armed)
 	now = silentCycle(t, l, now) // noAckCycles=1: keep
 	now = silentCycle(t, l, now) // noAckCycles=2: decay
 	if !l.Outage() {

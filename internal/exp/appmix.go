@@ -3,7 +3,6 @@ package exp
 import (
 	"time"
 
-	"libra/internal/netem"
 	"libra/internal/trace"
 )
 
@@ -18,9 +17,10 @@ func init() {
 
 // runAppMix shares a bottleneck between one bulk flow (CCA under test)
 // and one 4 Mbps application-limited stream (a latency-sensitive
-// client running a plain conservative controller). It reports the
-// stream's delay and loss under each bulk neighbour: a delay-aware bulk
-// CCA leaves the stream usable, a buffer-filler does not.
+// client running a plain conservative controller, placed as cross
+// traffic). It reports the stream's delay and loss under each bulk
+// neighbour: a delay-aware bulk CCA leaves the stream usable, a
+// buffer-filler does not.
 func runAppMix(rc *RunContext) *Report {
 	rc.WithDefaults()
 	dur := 30 * time.Second
@@ -28,34 +28,25 @@ func runAppMix(rc *RunContext) *Report {
 		dur = 10 * time.Second
 	}
 	bulkCCAs := []string{"c-libra", "b-libra", "cubic", "bbr", "copa", "proteus"}
+	ts := bottleneckTopo(TopoLink{CapMbps: 24, DelayMs: 20, Buffer: 300_000})
+	ts.Cross = []CrossFlow{{Route: ts.Main, CCA: "vegas", RateMbps: 4}}
+	s := Scenario{Name: "app-mix", Duration: dur, Topo: ts}
 
-	type res struct{ bulkThr, streamThr, streamDelay, streamLoss float64 }
-	rs := Sweep(rc, len(bulkCCAs), func(jc *RunContext, i int) res {
-		ag := jc.agents()
-		n := netem.New(netem.Config{
-			Capacity:    trace.Constant(trace.Mbps(24)),
-			MinRTT:      40 * time.Millisecond,
-			BufferBytes: 300_000,
-			Seed:        jc.Seed,
-		})
-		bulk := n.AddFlow(mustMaker(bulkCCAs[i], ag, nil)(jc.Seed), 0, 0)
-		stream := n.AddFlow(mustMaker("vegas", ag, nil)(jc.Seed+1), 0, 0)
-		stream.SetAppRate(trace.Mbps(4))
-		n.Run(dur)
-		jc.ObserveLink(n, dur)
-		return res{
-			bulkThr:     trace.ToMbps(bulk.Stats.AvgThroughput()),
-			streamThr:   trace.ToMbps(stream.Stats.AvgThroughput()),
-			streamDelay: float64(stream.Stats.AvgRTT()) / float64(time.Millisecond),
-			streamLoss:  stream.Stats.LossRate(),
-		}
+	ms := Sweep(rc, len(bulkCCAs), func(jc *RunContext, i int) Metrics {
+		return jc.RunFlow(s, CCAMaker(bulkCCAs[i], nil)(jc), 0)
 	})
 
 	tbl := Table{Name: "bulk neighbour's effect on a 4 Mbps stream (24 Mbps / 40 ms / 300 KB buffer)",
 		Cols: []string{"bulk cca", "bulk thr(Mbps)", "stream thr(Mbps)", "stream delay(ms)", "stream loss"}}
 	for i, name := range bulkCCAs {
-		r := rs[i]
-		tbl.AddRow(name, fmtF(r.bulkThr, 1), fmtF(r.streamThr, 2), fmtF(r.streamDelay, 0), fmtF(r.streamLoss, 4))
+		m := ms[i]
+		if m.Failed {
+			tbl.AddRow(name, "failed", "-", "-", "-")
+			continue
+		}
+		stream := m.Topo.Flows()[1].Stats
+		tbl.AddRow(name, fmtF(m.ThrMbps, 1), fmtF(trace.ToMbps(stream.AvgThroughput()), 2),
+			fmtF(float64(stream.AvgRTT())/float64(time.Millisecond), 0), fmtF(stream.LossRate(), 4))
 	}
 	return &Report{ID: "app-mix", Title: "Application-mix coexistence", Tables: []Table{tbl},
 		Notes: []string{"the stream is a 4 Mbps app-limited Vegas client; its delay is set by the queue the bulk flow maintains"}}

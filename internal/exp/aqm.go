@@ -2,9 +2,6 @@ package exp
 
 import (
 	"time"
-
-	"libra/internal/netem"
-	"libra/internal/trace"
 )
 
 func init() {
@@ -34,34 +31,30 @@ func runAQM(rc *RunContext) *Report {
 		{"b-libra / droptail", "b-libra", false},
 	}
 
-	type res struct {
-		util, delay float64
-		drops       int64
-	}
-	rs := Sweep(rc, len(cases), func(jc *RunContext, i int) res {
+	ms := Sweep(rc, len(cases), func(jc *RunContext, i int) Metrics {
 		c := cases[i]
-		n := netem.New(netem.Config{
-			Capacity:    trace.Constant(trace.Mbps(24)),
-			MinRTT:      40 * time.Millisecond,
-			BufferBytes: 600_000, // deep buffer: 200 ms when filled
-			CoDel:       c.codel,
-			Seed:        jc.Seed,
-		})
-		f := n.AddFlow(mustMaker(c.cca, jc.agents(), nil)(jc.Seed), 0, 0)
-		n.Run(dur)
-		jc.ObserveLink(n, dur)
-		return res{
-			util:  n.Utilization(dur),
-			delay: float64(f.Stats.AvgRTT()) / float64(time.Millisecond),
-			drops: n.Link().DropStats().AQM,
+		s := Scenario{
+			Name:     "aqm-droptail",
+			Duration: dur,
+			// deep buffer: 200 ms when filled
+			Topo: bottleneckTopo(TopoLink{CapMbps: 24, DelayMs: 20, Buffer: 600_000, CoDel: c.codel}),
 		}
+		if c.codel {
+			s.Name = "aqm-codel"
+		}
+		return jc.RunFlow(s, CCAMaker(c.cca, nil)(jc), 0)
 	})
 
 	tbl := Table{Name: "deep-buffered 24 Mbps / 40 ms path",
 		Cols: []string{"setup", "util", "avg delay(ms)", "aqm drops"}}
 	for i, c := range cases {
-		r := rs[i]
-		tbl.AddRow(c.label, fmtF(r.util, 3), fmtF(r.delay, 0), fmtF(float64(r.drops), 0))
+		m := ms[i]
+		if m.Failed {
+			tbl.AddRow(c.label, "failed", "-", "-")
+			continue
+		}
+		drops := m.Topo.Links()[0].DropStats().AQM
+		tbl.AddRow(c.label, fmtF(m.Util, 3), fmtF(m.DelayMs, 0), fmtF(float64(drops), 0))
 	}
 	return &Report{ID: "aqm", Title: "AQM contrast", Tables: []Table{tbl},
 		Notes: []string{"the paper's flexibility argument: matching CoDel-grade delay without touching network devices"}}

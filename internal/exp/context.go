@@ -229,7 +229,11 @@ func Sweep[T any](rc *RunContext, n int, job func(jc *RunContext, i int) T) []T 
 			rc.Metrics.Merge(jc.Metrics)
 			if b, ok := jc.Tracer.(*telemetry.Buffer); ok {
 				b.ReplayTo(rc.Tracer)
+				// The job's results can keep its network, and through it
+				// this buffer, alive until the sweep returns.
+				b.Reset()
 			}
+			kids[flushed] = nil
 			flushed++
 		}
 	}

@@ -3,10 +3,7 @@ package exp
 import (
 	"time"
 
-	"libra/internal/netem"
 	"libra/internal/stats"
-	"libra/internal/sweep"
-	"libra/internal/trace"
 )
 
 func init() {
@@ -26,36 +23,36 @@ func runSec7DC(rc *RunContext) *Report {
 	}
 	const nFlows = 4
 	ccas := []string{"dctcp", "d-libra", "c-libra", "cubic", "reno"}
+	s := Scenario{
+		Name:     "dc-ecn-fabric",
+		Duration: dur,
+		Topo:     bottleneckTopo(TopoLink{CapMbps: 100, DelayMs: 0.5, Buffer: 500_000, ECN: 32_000}),
+	}
 
-	type res struct{ util, delayMs, jain float64 }
-	rs := Sweep(rc, len(ccas), func(jc *RunContext, i int) res {
-		n := netem.New(netem.Config{
-			Capacity:     trace.Constant(trace.Mbps(100)),
-			MinRTT:       time.Millisecond,
-			BufferBytes:  500_000,
-			ECNThreshold: 32_000,
-			Seed:         jc.Seed,
-		})
-		mk := mustMaker(ccas[i], jc.agents(), nil)
-		flows := make([]*netem.Flow, nFlows)
-		for fi := range flows {
-			flows[fi] = n.AddFlow(mk(sweep.SubSeed(jc.Seed, fi)), 0, 0)
+	rs := Sweep(rc, len(ccas), func(jc *RunContext, i int) []Metrics {
+		mk := CCAMaker(ccas[i], nil)(jc)
+		mks := make([]Maker, nFlows)
+		for fi := range mks {
+			mks[fi] = mk
 		}
-		n.Run(dur)
-		jc.ObserveLink(n, dur)
-		thr := make([]float64, nFlows)
-		var dsum float64
-		for fi, f := range flows {
-			thr[fi] = f.Stats.AvgThroughput()
-			dsum += float64(f.Stats.AvgRTT()) / float64(time.Millisecond)
-		}
-		return res{util: n.Utilization(dur), delayMs: dsum / nFlows, jain: stats.JainIndex(thr)}
+		return jc.RunFlows(s, mks, nil, 0)
 	})
 
 	tbl := Table{Name: "4 flows, 100 Mbps / 1 ms RTT fabric, ECN mark at 32 KB",
 		Cols: []string{"cca", "util", "avg delay(ms)", "jain"}}
 	for i, name := range ccas {
-		tbl.AddRow(name, fmtF(rs[i].util, 3), fmtF(rs[i].delayMs, 2), fmtF(rs[i].jain, 3))
+		ms := rs[i]
+		if ms[0].Failed {
+			tbl.AddRow(name, "failed", "-", "-")
+			continue
+		}
+		thr := make([]float64, nFlows)
+		var dsum float64
+		for fi, m := range ms {
+			thr[fi] = m.Flow.Stats.AvgThroughput()
+			dsum += m.DelayMs
+		}
+		tbl.AddRow(name, fmtF(ms[0].Util, 3), fmtF(dsum/nFlows, 2), fmtF(stats.JainIndex(thr), 3))
 	}
 	return &Report{ID: "sec7-datacenter", Title: "Datacenter ECN scenario",
 		Tables: []Table{tbl},

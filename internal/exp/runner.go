@@ -97,9 +97,8 @@ type Metrics struct {
 	// the overhead metric (Fig. 2c / Fig. 12).
 	CPUFrac float64
 	Flow    *netem.Flow
-	// Net is the single-bottleneck network (nil for topology runs);
-	// Topo is the multi-hop topology (nil for single-bottleneck runs).
-	Net  *netem.Network
+	// Topo is the network the run drove: the scenario's multi-hop
+	// topology, or the single bottleneck's two-node, one-link one.
 	Topo *netem.Topology
 	Ctrl cc.Controller
 	// Failed marks a run aborted by a controller panic or an invalid
@@ -265,25 +264,17 @@ func mustMaker(name string, ag *AgentSet, util utility.Func) Maker {
 	return mk
 }
 
-// faultsFor resolves the scenario's fault plan (falling back to the
-// context's plan) into a bound-ready injector; nil means no faults.
-func (rc *RunContext) faultsFor(s Scenario, seed int64) (netem.FaultInjector, error) {
-	plan := s.Faults
-	if plan == nil {
-		plan = rc.FaultPlan
-	}
-	if plan.Empty() {
-		return nil, nil
-	}
-	return faults.New(plan, seed)
-}
-
-// failedRun records one aborted flow run and returns its marker
-// metrics.
-func (rc *RunContext) failedRun(s Scenario, err error) Metrics {
+// failedRun records one aborted run and returns a marker Metrics for
+// each of its n main flows.
+func (rc *RunContext) failedRun(s Scenario, n int, err error) []Metrics {
 	rc.Metrics.Counter("libra_flow_failures_total",
 		"flow runs aborted by a controller panic or invalid configuration").Inc()
-	return Metrics{Failed: true, Err: fmt.Errorf("scenario %s: %w", s.Name, err)}
+	m := Metrics{Failed: true, Err: fmt.Errorf("scenario %s: %w", s.Name, err)}
+	out := make([]Metrics, n)
+	for i := range out {
+		out[i] = m
+	}
+	return out
 }
 
 // RunFlow drives one controller over a scenario, seeded by the
@@ -291,114 +282,109 @@ func (rc *RunContext) failedRun(s Scenario, err error) Metrics {
 // time series at that width. Results are also summarised into
 // rc.Metrics, and rc.Tracer is wired through the network and
 // controller. A panic out of the controller (or an invalid fault
-// plan) is contained: the run is recorded as failed
+// plan or topology) is contained: the run is recorded as failed
 // (Metrics.Failed/Err) instead of unwinding the whole experiment.
-func (rc *RunContext) RunFlow(s Scenario, mk Maker, bucket time.Duration) (m Metrics) {
-	rc.WithDefaults()
-	if ts := rc.topoFor(s); ts != nil {
-		return rc.runTopoFlows(s, ts, []Maker{mk}, nil, bucket, []int64{rc.Seed})[0]
-	}
-	var n *netem.Network
-	defer func() {
-		if r := recover(); r != nil {
-			// The anomaly marker reaches the flight recorder through the
-			// ordinary (ordered) event stream, so the ring contents at
-			// the moment of the crash are dumped deterministically.
-			var t int64
-			if n != nil {
-				t = int64(n.Eng.Now())
-			}
-			rc.EmitAnomaly(t, 0, telemetry.AnomalyPanic)
-			m = rc.failedRun(s, fmt.Errorf("panic: %v", r))
-		}
-	}()
-	inj, err := rc.faultsFor(s, rc.Seed)
-	if err != nil {
-		return rc.failedRun(s, err)
-	}
-	n = netem.New(netem.Config{
-		Capacity:     s.Capacity,
-		MinRTT:       s.MinRTT,
-		BufferBytes:  s.Buffer,
-		LossRate:     s.Loss,
-		Faults:       inj,
-		Seed:         rc.Seed,
-		RecordSeries: bucket > 0,
-		SeriesBucket: bucket,
-		Tracer:       rc.Tracer,
-		Health:       rc.Health,
-	})
-	batcher := rc.newBatcher()
-	ctrl := mk(rc.Seed)
-	rc.EmitSpan(0, -1, "scenario:"+s.Name, true)
-	rc.EmitSpan(0, 0, "flow:"+ctrl.Name(), true)
-	rc.AttachTracer(ctrl, 0)
-	rc.attachBatcher(batcher, ctrl, 0)
-	if len(s.Profiles) > 0 {
-		rc.EmitProfile(0, 0, s.Profiles[0])
-	}
-	f := n.AddFlow(ctrl, 0, 0)
-	n.Run(s.Duration)
-	rc.recordBatch(batcher)
-	rc.EmitSpan(s.Duration.Nanoseconds(), 0, "flow:"+ctrl.Name(), false)
-	rc.EmitSpan(s.Duration.Nanoseconds(), -1, "scenario:"+s.Name, false)
-	rc.recordLink(n, s.Duration)
-	return rc.Observe(n, f, s.Duration)
+func (rc *RunContext) RunFlow(s Scenario, mk Maker, bucket time.Duration) Metrics {
+	return rc.run(s, []Maker{mk}, nil, bucket, func(int) int64 { return rc.Seed })[0]
 }
 
-// RunFlows drives several controllers sharing one bottleneck;
-// starts[i] delays flow i. Per-flow seeds are sub-derived from the
-// context seed. Returns per-flow metrics. Like RunFlow, a panic marks
-// every flow of the run failed rather than escaping.
-func (rc *RunContext) RunFlows(s Scenario, mks []Maker, starts []time.Duration, bucket time.Duration) (out []Metrics) {
-	rc.WithDefaults()
-	if ts := rc.topoFor(s); ts != nil {
-		return rc.runTopoFlows(s, ts, mks, starts, bucket, nil)
+// RunFlows drives several controllers sharing the scenario's main
+// path; starts[i] delays flow i. Per-flow seeds are sub-derived from
+// the context seed. Returns per-flow metrics. Like RunFlow, a panic
+// marks every flow of the run failed rather than escaping.
+func (rc *RunContext) RunFlows(s Scenario, mks []Maker, starts []time.Duration, bucket time.Duration) []Metrics {
+	return rc.run(s, mks, starts, bucket, func(i int) int64 { return sweep.SubSeed(rc.Seed, i) })
+}
+
+// topoFor resolves the scenario's topology spec, falling back to the
+// context's (libra-bench -topo); nil means the single bottleneck.
+func (rc *RunContext) topoFor(s Scenario) *TopoSpec {
+	if s.Topo != nil {
+		return s.Topo
 	}
-	var n *netem.Network
+	return rc.Topo
+}
+
+// run is the harness's one run path. It builds the scenario's network:
+// the topology spec when one applies (see topoFor), else the single
+// bottleneck, whose one link stays unlabelled so its events and metric
+// names keep the pre-topology encoding. It drives mks[i], seeded
+// seedOf(i) and started at starts[i], down the main route, places the
+// spec's cross traffic after them (so main flow IDs are 0..len(mks)-1),
+// runs for the scenario's duration, records the links and main flows
+// into rc.Metrics, and returns the main flows' metrics in maker order.
+// A panic, or a scenario the builder rejects, marks every main flow
+// failed instead of unwinding the experiment.
+func (rc *RunContext) run(s Scenario, mks []Maker, starts []time.Duration, bucket time.Duration, seedOf func(int) int64) (out []Metrics) {
+	rc.WithDefaults()
+	var tp *netem.Topology
 	flows := make([]*netem.Flow, 0, len(mks))
 	defer func() {
 		if r := recover(); r != nil {
+			// The anomaly markers reach the flight recorder through the
+			// ordinary (ordered) event stream, so every ring that was
+			// being fed dumps its contents at the crash deterministically.
 			var t int64
-			if n != nil {
-				t = int64(n.Eng.Now())
+			if tp != nil {
+				t = int64(tp.Eng.Now())
 			}
-			// Every flow of the shared bottleneck died with the panic;
-			// trigger a flight dump for each ring that was being fed.
 			for i := range flows {
 				rc.EmitAnomaly(t, i, telemetry.AnomalyPanic)
 			}
 			if len(flows) == 0 {
 				rc.EmitAnomaly(t, -1, telemetry.AnomalyPanic)
 			}
-			m := rc.failedRun(s, fmt.Errorf("panic: %v", r))
-			out = make([]Metrics, len(mks))
-			for i := range out {
-				out[i] = m
-			}
+			out = rc.failedRun(s, len(mks), fmt.Errorf("panic: %v", r))
 		}
 	}()
-	inj, err := rc.faultsFor(s, rc.Seed)
-	if err != nil {
-		m := rc.failedRun(s, err)
-		out = make([]Metrics, len(mks))
-		for i := range out {
-			out[i] = m
-		}
-		return out
+
+	plan := s.Faults
+	if plan == nil {
+		plan = rc.FaultPlan
 	}
-	n = netem.New(netem.Config{
-		Capacity:     s.Capacity,
-		MinRTT:       s.MinRTT,
-		BufferBytes:  s.Buffer,
-		LossRate:     s.Loss,
-		Faults:       inj,
-		Seed:         rc.Seed,
-		RecordSeries: bucket > 0,
-		SeriesBucket: bucket,
-		Tracer:       rc.Tracer,
-		Health:       rc.Health,
-	})
+	var (
+		main   *netem.Route
+		routes map[string]*netem.Route
+		cross  []CrossFlow
+	)
+	if ts := rc.topoFor(s); ts != nil {
+		var err error
+		tp, routes, err = ts.Build(TopoBuild{
+			Seed:         rc.Seed,
+			Tracer:       rc.Tracer,
+			Health:       rc.Health,
+			RecordSeries: bucket > 0,
+			SeriesBucket: bucket,
+			ExtraFaults:  plan,
+		})
+		if err != nil {
+			return rc.failedRun(s, len(mks), err)
+		}
+		main, cross = routes[ts.Main], ts.Cross
+	} else {
+		var inj netem.FaultInjector
+		if !plan.Empty() {
+			fi, err := faults.New(plan, rc.Seed)
+			if err != nil {
+				return rc.failedRun(s, len(mks), err)
+			}
+			inj = fi
+		}
+		n := netem.New(netem.Config{
+			Capacity:     s.Capacity,
+			MinRTT:       s.MinRTT,
+			BufferBytes:  s.Buffer,
+			LossRate:     s.Loss,
+			Faults:       inj,
+			Seed:         rc.Seed,
+			RecordSeries: bucket > 0,
+			SeriesBucket: bucket,
+			Tracer:       rc.Tracer,
+			Health:       rc.Health,
+		})
+		tp, main = n.Topology, n.Routes()[0]
+	}
+
 	rc.EmitSpan(0, -1, "scenario:"+s.Name, true)
 	batcher := rc.newBatcher()
 	names := make([]string, len(mks))
@@ -407,7 +393,7 @@ func (rc *RunContext) RunFlows(s Scenario, mks []Maker, starts []time.Duration, 
 		if i < len(starts) {
 			start = starts[i]
 		}
-		ctrl := mk(sweep.SubSeed(rc.Seed, i))
+		ctrl := mk(seedOf(i))
 		names[i] = ctrl.Name()
 		rc.EmitSpan(0, i, "flow:"+names[i], true)
 		rc.AttachTracer(ctrl, i)
@@ -415,18 +401,47 @@ func (rc *RunContext) RunFlows(s Scenario, mks []Maker, starts []time.Duration, 
 		if i < len(s.Profiles) {
 			rc.EmitProfile(0, i, s.Profiles[i])
 		}
-		flows = append(flows, n.AddFlow(ctrl, start, 0))
+		flows = append(flows, tp.AddFlowOn(main, ctrl, start, 0))
 	}
-	n.Run(s.Duration)
+	idx := len(mks)
+	for _, cf := range cross {
+		cca := cf.CCA
+		if cca == "" {
+			cca = "cubic"
+		}
+		mk, err := MakerFor(cca, nil, nil)
+		if err != nil {
+			return rc.failedRun(s, len(mks), err) // unreachable after Validate; defensive
+		}
+		count := cf.Count
+		if count == 0 {
+			count = 1
+		}
+		start := time.Duration(cf.StartS * float64(time.Second))
+		for k := 0; k < count; k++ {
+			ctrl := mk(sweep.SubSeed(rc.Seed, idx))
+			rc.AttachTracer(ctrl, idx)
+			rc.attachBatcher(batcher, ctrl, idx)
+			f := tp.AddFlowOn(routes[cf.Route], ctrl, start, 0)
+			if cf.RateMbps > 0 {
+				f.SetAppRate(trace.Mbps(cf.RateMbps))
+			}
+			idx++
+		}
+	}
+
+	tp.Run(s.Duration)
 	rc.recordBatch(batcher)
 	for i := range flows {
 		rc.EmitSpan(s.Duration.Nanoseconds(), i, "flow:"+names[i], false)
 	}
 	rc.EmitSpan(s.Duration.Nanoseconds(), -1, "scenario:"+s.Name, false)
-	rc.recordLink(n, s.Duration)
+	bott := tp.RouteBottleneck(main, s.Duration)
+	util := tp.LinkUtilization(bott, s.Duration)
+	rc.recordLinks(tp, bott, util, s.Duration)
 	out = make([]Metrics, len(flows))
 	for i, f := range flows {
-		out[i] = rc.Observe(n, f, s.Duration)
+		out[i] = rc.observe(tp, f, util, s.Duration)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"libra/internal/core"
@@ -23,19 +24,18 @@ func cpuFracBuckets() []float64 {
 	return []float64{1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 0.01, 0.03, 0.1, 0.3, 1}
 }
 
-// Observe computes one flow's run metrics and records them in the
-// context's registry. It is the single summarisation path shared by
-// the runner and the CLIs.
-func (rc *RunContext) Observe(n *netem.Network, f *netem.Flow, d time.Duration) Metrics {
-	rc.WithDefaults()
+// observe computes one main flow's run metrics, given the utilisation
+// of its route's bottleneck, and records them in the context's
+// registry.
+func (rc *RunContext) observe(tp *netem.Topology, f *netem.Flow, util float64, d time.Duration) Metrics {
 	m := Metrics{
-		Util:     n.Utilization(d),
+		Util:     util,
 		ThrMbps:  trace.ToMbps(f.Stats.AvgThroughput()),
 		DelayMs:  float64(f.Stats.AvgRTT()) / float64(time.Millisecond),
 		LossRate: f.Stats.LossRate(),
 		CPUFrac:  float64(f.Stats.ComputeNs) / float64(d.Nanoseconds()),
 		Flow:     f,
-		Net:      n,
+		Topo:     tp,
 		Ctrl:     f.Controller(),
 	}
 	rc.recordFlow(f, m)
@@ -89,42 +89,73 @@ func (rc *RunContext) recordFlow(f *netem.Flow, m Metrics) {
 	}
 }
 
-// ObserveLink records one network's bottleneck summary into the
-// context's registry; call once per completed run (the link's drop
-// counters are cumulative).
-func (rc *RunContext) ObserveLink(n *netem.Network, d time.Duration) {
-	rc.WithDefaults()
-	rc.recordLink(n, d)
+// linkHelp is the help text of the per-link series.
+type linkHelp struct{ drops, dropped, marked, delivered string }
+
+var (
+	hopHelp = linkHelp{"per-hop drops by reason", "bytes dropped per hop",
+		"packets CE-marked per hop", "bytes serialized per hop"}
+	bottleneckHelp = linkHelp{"bottleneck drops by reason", "bytes dropped at the bottleneck",
+		"packets CE-marked at the bottleneck", "bytes serialized through the bottleneck"}
+)
+
+// series names a metric with a literal label block built from the
+// non-empty labels ("name" alone when there are none).
+func series(name string, labels ...string) string {
+	var set []string
+	for _, l := range labels {
+		if l != "" {
+			set = append(set, l)
+		}
+	}
+	if len(set) == 0 {
+		return name
+	}
+	return name + "{" + strings.Join(set, ",") + "}"
 }
 
-// recordLink pushes one network's bottleneck summary into the
-// registry; call once per run (drop counters are cumulative per link).
-// Reasons are walked in a fixed order so metric registration — and
-// therefore help-text attribution — never depends on map iteration.
-func (rc *RunContext) recordLink(n *netem.Network, d time.Duration) {
+// recordLinks pushes every link's summary into the registry, then the
+// main route's bottleneck utilisation (util) and mean occupancy as the
+// run-level gauges. Links go in construction order and reasons in a
+// fixed order, so metric registration (and therefore help-text
+// attribution) never depends on map iteration. A labelled link records
+// link-labelled series; the single bottleneck's unlabelled link keeps
+// the pre-topology names and help text, and its own utilisation is the
+// run-level gauge. Call once per run: the link counters are cumulative.
+func (rc *RunContext) recordLinks(tp *netem.Topology, bott *netem.Link, util float64, d time.Duration) {
 	reg := rc.Metrics
-	ds := n.Link().DropStats()
-	for _, rv := range []struct {
-		reason string
-		v      int64
-	}{
-		{telemetry.ReasonTail, ds.Tail},
-		{telemetry.ReasonChannel, ds.Channel},
-		{telemetry.ReasonAQM, ds.AQM},
-		{telemetry.ReasonBlackout, ds.Blackout},
-		{telemetry.ReasonBurst, ds.Burst},
-	} {
-		reg.Counter(fmt.Sprintf("libra_link_drops_total{reason=%q}", rv.reason),
-			"bottleneck drops by reason").Add(rv.v)
+	for _, l := range tp.Links() {
+		sel, help := "", bottleneckHelp
+		if l.Label() != "" {
+			sel, help = fmt.Sprintf("link=%q", l.Label()), hopHelp
+		}
+		ds := l.DropStats()
+		for _, rv := range []struct {
+			reason string
+			v      int64
+		}{
+			{telemetry.ReasonTail, ds.Tail},
+			{telemetry.ReasonChannel, ds.Channel},
+			{telemetry.ReasonAQM, ds.AQM},
+			{telemetry.ReasonBlackout, ds.Blackout},
+			{telemetry.ReasonBurst, ds.Burst},
+		} {
+			reg.Counter(series("libra_link_drops_total", sel, fmt.Sprintf("reason=%q", rv.reason)),
+				help.drops).Add(rv.v)
+		}
+		reg.Counter(series("libra_link_dropped_bytes_total", sel), help.dropped).Add(ds.Bytes)
+		reg.Counter(series("libra_link_marked_total", sel), help.marked).Add(ds.Marked)
+		reg.Counter(series("libra_link_delivered_bytes_total", sel), help.delivered).Add(l.DeliveredBytes())
+		if sel != "" {
+			reg.Gauge(series("libra_link_utilization", sel),
+				"per-hop delivered bytes / mean capacity of the last recorded run").
+				Set(tp.LinkUtilization(l, d))
+		}
 	}
-	reg.Counter("libra_link_dropped_bytes_total", "bytes dropped at the bottleneck").Add(ds.Bytes)
-	reg.Counter("libra_link_marked_total", "packets CE-marked at the bottleneck").Add(ds.Marked)
-	reg.Counter("libra_link_delivered_bytes_total", "bytes serialized through the bottleneck").
-		Add(n.Link().DeliveredBytes())
 	reg.Gauge("libra_link_utilization", "delivered bytes / mean capacity of the last recorded run").
-		Set(n.Utilization(d))
+		Set(util)
 	reg.Gauge("libra_link_mean_queue_bytes", "time-averaged bottleneck occupancy of the last recorded run").
-		Set(n.Link().MeanQueueBytes(n.Eng.Now()))
+		Set(bott.MeanQueueBytes(tp.Eng.Now()))
 }
 
 // EmitSpan emits a harness-level causal-span boundary (scenario, flow,

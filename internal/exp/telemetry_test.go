@@ -28,6 +28,11 @@ func TestRunFlowRecordsMetrics(t *testing.T) {
 	if m.ThrMbps <= 0 {
 		t.Fatalf("run produced no throughput: %+v", m)
 	}
+	// The single bottleneck is a degenerate topology: one unlabelled
+	// link carrying this run's flow.
+	if m.Topo == nil || len(m.Topo.Links()) != 1 || m.Topo.Flows()[0] != m.Flow {
+		t.Fatalf("single-bottleneck run: Topo = %v, want the one-link network its flow ran on", m.Topo)
+	}
 
 	reg := rc.Metrics
 	snap := reg.Snapshot()
@@ -59,6 +64,10 @@ func TestRunFlowRecordsMetrics(t *testing.T) {
 		if !strings.Contains(prom.String(), want) {
 			t.Errorf("prometheus output missing %q", want)
 		}
+	}
+	// Its unlabelled link keeps the pre-topology series names.
+	if strings.Contains(prom.String(), "link=") {
+		t.Errorf("single-bottleneck run registered link-labelled series:\n%s", prom.String())
 	}
 }
 
@@ -93,5 +102,54 @@ func TestRunnerWiresTracer(t *testing.T) {
 		if !kinds[want] {
 			t.Errorf("runner trace missing %q events", want)
 		}
+	}
+}
+
+// TestDatacenterExperimentTraced: sec7-datacenter runs through the
+// harness's run path, so a tracer on the context sees its scenario
+// spans and its bn-labelled bottleneck, and the recorded stream is
+// byte-identical at any worker count.
+func TestDatacenterExperimentTraced(t *testing.T) {
+	e, ok := Get("sec7-datacenter")
+	if !ok {
+		t.Fatal("sec7-datacenter not registered")
+	}
+	agents := tinyAgents(t)
+	run := func(workers int) ([]byte, string) {
+		var buf bytes.Buffer
+		rec := telemetry.NewRecorder(&buf)
+		rc := &RunContext{Quick: true, Seed: 1, Workers: workers, Agents: agents, Tracer: rec}
+		rep := e.Run(rc).String()
+		if err := rec.Close(); err != nil {
+			t.Fatalf("recorder close: %v", err)
+		}
+		return buf.Bytes(), rep
+	}
+	serial, rep := run(1)
+	if strings.Contains(rep, "failed") {
+		t.Fatalf("a run failed:\n%s", rep)
+	}
+	evs, err := telemetry.ReadAll(bytes.NewReader(serial))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	var scenarios, enqueues int
+	for i := range evs {
+		switch ev := &evs[i]; {
+		case ev.Type == telemetry.TypeSpan && strings.HasPrefix(ev.Name, "scenario:"):
+			scenarios++
+		case ev.Type == telemetry.TypeEnqueue && ev.Link == "bn":
+			enqueues++
+		}
+	}
+	// One begin and one end per controller's run.
+	if scenarios != 2*5 {
+		t.Errorf("%d scenario span events, want 10", scenarios)
+	}
+	if enqueues == 0 {
+		t.Error("no enqueue events on the bn link")
+	}
+	if parallel, _ := run(4); !bytes.Equal(parallel, serial) {
+		t.Errorf("event stream differs between workers=1 and workers=4 (%d vs %d bytes)", len(serial), len(parallel))
 	}
 }

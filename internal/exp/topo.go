@@ -347,6 +347,20 @@ func (ts *TopoSpec) Build(b TopoBuild) (*netem.Topology, map[string]*netem.Route
 	return tp, routes, nil
 }
 
+// bottleneckTopo wraps one link as a two-node topology: the link runs
+// src -> dst labelled "bn", and the main route crosses it with a
+// symmetric ACK delay, so DelayMs is half the path's minimum RTT.
+func bottleneckTopo(l TopoLink) *TopoSpec {
+	l.Label, l.From, l.To = "bn", "src", "dst"
+	return &TopoSpec{
+		Name:   "bottleneck",
+		Nodes:  []string{"src", "dst"},
+		Links:  []TopoLink{l},
+		Routes: []TopoRoute{{Name: "main", Links: []string{"bn"}}},
+		Main:   "main",
+	}
+}
+
 // topoPresets are the named topologies behind the -topo CLI flags and
 // the lab's topology knob. Each returns a fresh spec.
 var topoPresets = map[string]func() *TopoSpec{

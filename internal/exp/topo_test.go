@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"libra/internal/analyze"
+	"libra/internal/cc"
+	"libra/internal/cc/cubic"
 	"libra/internal/telemetry"
 )
 
@@ -86,8 +88,8 @@ func TestRunFlowOverTopology(t *testing.T) {
 	if m.Failed {
 		t.Fatalf("topo run failed: %v", m.Err)
 	}
-	if m.Net != nil || m.Topo == nil {
-		t.Fatalf("topo run: Net = %v, Topo = %v; want nil/non-nil", m.Net, m.Topo)
+	if m.Topo == nil || m.Topo.LinkByLabel("h1") == nil || m.Topo.Flows()[0] != m.Flow {
+		t.Fatalf("topo run: Topo = %v is not the parking-lot network its flow ran on", m.Topo)
 	}
 	if m.ThrMbps <= 0 || m.Util <= 0 {
 		t.Fatalf("topo run produced no throughput: thr %.2f util %.3f", m.ThrMbps, m.Util)
@@ -213,4 +215,37 @@ func FuzzParseTopo(f *testing.F) {
 			t.Fatalf("validated spec fails to build: %v\nspec: %s", err, body)
 		}
 	})
+}
+
+// panicky is a controller that panics on its first ACK.
+type panicky struct{ cc.Controller }
+
+func (panicky) OnAck(*cc.Ack) { panic("boom") }
+
+// A panic out of one flow marks every main flow of the run failed and
+// counts one failure, on the plain and the topology path alike, instead
+// of unwinding the caller.
+func TestRunContainsControllerPanic(t *testing.T) {
+	mks := []Maker{
+		mustMaker("cubic", nil, nil),
+		func(seed int64) cc.Controller { return panicky{cubic.New(cc.Config{Seed: seed})} },
+	}
+	for _, s := range []Scenario{
+		WiredScenarios(time.Second, 24)[0],
+		{Name: "one-link", Duration: time.Second, Topo: bottleneckTopo(TopoLink{CapMbps: 24, DelayMs: 15})},
+	} {
+		rc := NewRunContext(1)
+		ms := rc.RunFlows(s, mks, nil, 0)
+		if len(ms) != len(mks) {
+			t.Fatalf("%s: %d results for %d flows", s.Name, len(ms), len(mks))
+		}
+		for i, m := range ms {
+			if !m.Failed || m.Err == nil || !strings.Contains(m.Err.Error(), "boom") {
+				t.Errorf("%s: flow %d = %+v, want failed with the panic", s.Name, i, m)
+			}
+		}
+		if got := rc.Metrics.Snapshot().Counters["libra_flow_failures_total"]; got != 1 {
+			t.Errorf("%s: libra_flow_failures_total = %d, want 1", s.Name, got)
+		}
+	}
 }

@@ -30,3 +30,8 @@ func (b *Buffer) ReplayTo(t Tracer) {
 		t.Emit(&b.evs[i])
 	}
 }
+
+// Reset drops the buffered events and releases their memory, so a
+// buffer that outlives its replay (referenced from a job's results)
+// holds nothing.
+func (b *Buffer) Reset() { b.evs = nil }

@@ -27,9 +27,9 @@ type ProgressSource interface {
 // sweep's worker churn. Health gauges are wall-clock derived and are
 // deliberately excluded from the framework's determinism guarantees.
 type Health struct {
-	mu      sync.Mutex
-	srcs    map[ProgressSource]struct{}
-	retired struct{ sim, events int64 }
+	mu                  sync.Mutex
+	srcs                map[ProgressSource]struct{}
+	retired             struct{ sim, events int64 }
 	lastSim, lastEvents int64
 	lastWall            time.Time
 

@@ -6,6 +6,10 @@ set -eux
 
 cd "$(dirname "$0")/.."
 
+# Formatting gate: gofmt must list no tracked Go file (git ls-files
+# keeps the untracked .bench_build/ module cache out).
+unformatted=$(gofmt -l $(git ls-files '*.go'))
+test -z "$unformatted" || { echo "gofmt needed on: $unformatted" >&2; exit 1; }
 go vet ./...
 go build ./...
 go test -race ./...
@@ -14,10 +18,8 @@ go test -race ./...
 # parsers (the Mahimahi trace reader and the FaultPlan JSON decoder).
 go test -race -count=1 ./internal/netem/faults/ ./internal/integration/
 # The parallel sweep paths (worker pool, per-job contexts, registry
-# merge) once more under the race detector, then the timed serial-vs-
-# parallel suite, recorded into BENCH_sweep.json for the perf trajectory.
+# merge) once more under the race detector.
 go test -race -count=1 ./internal/exp/ ./internal/sweep/
-BENCH_SWEEP=1 go test ./internal/exp/ -run TestBenchSweep -count=1 -v
 go test -run=NONE -fuzz=FuzzParseMahimahi -fuzztime=10s ./internal/trace/
 go test -run=NONE -fuzz=FuzzParsePlan -fuzztime=10s ./internal/netem/faults/
 go test -run=NONE -fuzz=FuzzPlanMutate -fuzztime=10s ./internal/netem/faults/
