@@ -57,7 +57,7 @@ type BBR struct {
 	mss float64
 
 	st          state
-	bwFilter    []bwSample
+	bwFilter    []bwSample // monotonic deque, see updateBW
 	maxBW       float64
 	minRTT      time.Duration
 	minRTTAt    time.Duration
@@ -148,24 +148,30 @@ func (b *BBR) OnAck(a *cc.Ack) {
 	b.updateControls()
 }
 
+// updateBW folds one delivery-rate sample into the windowed-max filter.
+// bwFilter is a monotonic deque: samples in time order with strictly
+// decreasing bw, so its front is the max over the window. A sample
+// leaves the back only when a newer one at least as large arrives; the
+// newer sample stays in the window at least as long, so the front is
+// the exact max of every sample in the window.
 func (b *BBR) updateBW(now time.Duration, sample float64) {
 	window := time.Duration(bwWindowRTTs) * b.rtpropOr(100*time.Millisecond)
-	b.bwFilter = append(b.bwFilter, bwSample{at: now, bw: sample})
-	// Evict expired samples from the front.
+	n := len(b.bwFilter)
+	for n > 0 && b.bwFilter[n-1].bw <= sample {
+		n--
+	}
+	b.bwFilter = append(b.bwFilter[:n], bwSample{at: now, bw: sample})
+	// Evict expired samples from the front, compacting in place so the
+	// backing array is reused.
 	cut := 0
 	for cut < len(b.bwFilter) && now-b.bwFilter[cut].at > window {
 		cut++
 	}
 	if cut > 0 {
-		b.bwFilter = b.bwFilter[cut:]
+		n = copy(b.bwFilter, b.bwFilter[cut:])
+		b.bwFilter = b.bwFilter[:n]
 	}
-	mx := 0.0
-	for _, s := range b.bwFilter {
-		if s.bw > mx {
-			mx = s.bw
-		}
-	}
-	b.maxBW = mx
+	b.maxBW = b.bwFilter[0].bw
 }
 
 func (b *BBR) rtpropOr(def time.Duration) time.Duration {

@@ -1,21 +1,17 @@
 package netem
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
 	"libra/internal/cc"
-	"libra/internal/sim"
 	"libra/internal/trace"
 )
 
-// benchNet builds the fixed end-to-end workload used by the core perf
-// trajectory: four CBR senders overdriving a 96 Mbit/s bottleneck, so
-// the run exercises enqueue, tail drop, serialization, delivery, and the
-// ACK/loss paths at full packet rate.
+// benchNet builds the fixed end-to-end workload of the netem benchmark
+// and its zero-alloc test: four CBR senders overdriving a 96 Mbit/s
+// bottleneck, so the run exercises enqueue, tail drop, serialization,
+// delivery, and the ACK/loss paths at full packet rate.
 func benchNet(seed int64) *Network {
 	n := New(Config{
 		Capacity:    trace.Constant(trace.Mbps(96)),
@@ -67,115 +63,5 @@ func TestNetemSteadyStateAllocs(t *testing.T) {
 	}
 	if n.benchPackets() == 0 {
 		t.Fatal("workload processed no packets")
-	}
-}
-
-// coreBenchNumbers is one measurement block in BENCH_core.json.
-type coreBenchNumbers struct {
-	Engine          string  `json:"engine"`
-	EventsPerSec    float64 `json:"engine_events_per_sec"`
-	NsPerEvent      float64 `json:"engine_ns_per_event"`
-	AllocsPerEvent  float64 `json:"engine_allocs_per_event"`
-	PacketsPerSec   float64 `json:"netem_packets_per_sec"`
-	AllocsPerPacket float64 `json:"netem_allocs_per_packet"`
-}
-
-// measureEngine times scheduling + dispatching nev closure events
-// through a fresh engine (the same worst-case shape the pre-rewrite
-// baseline was recorded with: the whole batch resident in the heap).
-func measureEngine(nev int) (evPerSec, nsPerEv, allocsPerEv float64) {
-	e := sim.New(1)
-	fn := func() {}
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	for j := 0; j < nev; j++ {
-		e.At(time.Duration(j)*time.Microsecond, fn)
-	}
-	e.Run(time.Hour)
-	wall := time.Since(start)
-	runtime.ReadMemStats(&m1)
-	return float64(nev) / wall.Seconds(),
-		float64(wall.Nanoseconds()) / float64(nev),
-		float64(m1.Mallocs-m0.Mallocs) / float64(nev)
-}
-
-// measureNetem times the fixed end-to-end workload for 10 virtual
-// seconds and reports packets/sec plus allocs/packet.
-func measureNetem() (pktsPerSec, allocsPerPkt float64) {
-	run := func() (int64, time.Duration) {
-		n := benchNet(7)
-		start := time.Now()
-		n.Run(10 * time.Second)
-		return n.benchPackets(), time.Since(start)
-	}
-	run() // warm-up: page in code paths
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	pkts, wall := run()
-	runtime.ReadMemStats(&m1)
-	return float64(pkts) / wall.Seconds(), float64(m1.Mallocs-m0.Mallocs) / float64(pkts)
-}
-
-// TestBenchCore records the core perf trajectory into BENCH_core.json:
-// engine events/sec and end-to-end netem packets/sec, with allocs per
-// event/packet. The baseline block (the pre-rewrite container/heap
-// engine, measured on the same machine) is preserved from the existing
-// file so the speedup stays anchored to the recorded before/after pair.
-// Only arms under CORE_BENCH=1 (make bench-core): timing inside a
-// parallel `go test ./...` sweep measures contention, not the engine.
-func TestBenchCore(t *testing.T) {
-	if os.Getenv("CORE_BENCH") == "" {
-		t.Skip("set CORE_BENCH=1 (make bench-core) to measure and record core perf")
-	}
-
-	cur := coreBenchNumbers{Engine: "value-typed 4-ary heap, pooled callbacks"}
-	cur.EventsPerSec, cur.NsPerEvent, cur.AllocsPerEvent = measureEngine(2_000_000)
-	cur.PacketsPerSec, cur.AllocsPerPacket = measureNetem()
-
-	path := os.Getenv("CORE_BENCH_OUT")
-	if path == "" {
-		path = "../../BENCH_core.json"
-	}
-	out := struct {
-		Baseline       coreBenchNumbers `json:"baseline"`
-		Current        coreBenchNumbers `json:"current"`
-		PacketsSpeedup float64          `json:"packets_speedup"`
-	}{Current: cur}
-	if prev, err := os.ReadFile(path); err == nil {
-		var old struct {
-			Baseline coreBenchNumbers `json:"baseline"`
-		}
-		if json.Unmarshal(prev, &old) == nil && old.Baseline.PacketsPerSec > 0 {
-			out.Baseline = old.Baseline
-		}
-	}
-	if out.Baseline.PacketsPerSec == 0 {
-		// First recording on this machine: the current numbers become the
-		// baseline for future regressions.
-		out.Baseline = cur
-	}
-	out.PacketsSpeedup = cur.PacketsPerSec / out.Baseline.PacketsPerSec
-
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatalf("create %s: %v", path, err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("engine: %.0f events/sec (%.1f ns/event, %.2f allocs/event)",
-		cur.EventsPerSec, cur.NsPerEvent, cur.AllocsPerEvent)
-	t.Logf("netem: %.0f packets/sec (%.2f allocs/packet), %.2fx vs baseline -> %s",
-		cur.PacketsPerSec, cur.AllocsPerPacket, out.PacketsSpeedup, path)
-	if os.Getenv("CORE_BENCH_GUARD") != "" && cur.AllocsPerPacket >= 1 {
-		t.Errorf("netem steady path allocates %.2f allocs/packet, want < 1", cur.AllocsPerPacket)
 	}
 }

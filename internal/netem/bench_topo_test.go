@@ -1,7 +1,6 @@
 package netem
 
 import (
-	"encoding/json"
 	"os"
 	"runtime"
 	"testing"
@@ -50,16 +49,15 @@ func (tp *Topology) benchPackets() int64 {
 	return total
 }
 
-// TestBenchTopo records multi-hop emulation throughput as the "topo"
-// block of BENCH_core.json (hop traversals per wall-clock second and
-// allocs per traversal over a 3-hop chain), preserving every other
-// recorded series. Only arms under TOPO_BENCH=1 (make bench-topo);
-// with TOPO_BENCH_GUARD it additionally enforces a conservative
-// absolute floor and the <1 alloc/packet bound, so a multi-hop
-// hot-path regression fails CI instead of just drifting the number.
+// TestBenchTopo measures multi-hop emulation throughput (hop traversals
+// per wall-clock second and allocs per traversal over a 3-hop chain).
+// Only arms under TOPO_BENCH=1 (make bench-topo); with TOPO_BENCH_GUARD
+// it enforces a conservative absolute floor and the <1 alloc/packet
+// bound, so a multi-hop hot-path regression fails the gate instead of
+// just drifting the number.
 func TestBenchTopo(t *testing.T) {
 	if os.Getenv("TOPO_BENCH") == "" {
-		t.Skip("set TOPO_BENCH=1 (make bench-topo) to measure and record multi-hop throughput")
+		t.Skip("set TOPO_BENCH=1 (make bench-topo) to measure multi-hop throughput")
 	}
 
 	run := func() (int64, time.Duration) {
@@ -77,34 +75,7 @@ func TestBenchTopo(t *testing.T) {
 	pktsPerSec := float64(pkts) / wall.Seconds()
 	allocsPerPkt := float64(m1.Mallocs-m0.Mallocs) / float64(pkts)
 
-	path := os.Getenv("TOPO_BENCH_OUT")
-	if path == "" {
-		path = "../../BENCH_core.json"
-	}
-	doc := map[string]json.RawMessage{}
-	if prev, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(prev, &doc); err != nil {
-			t.Fatalf("existing %s is not a JSON object: %v", path, err)
-		}
-	}
-	blk, err := json.Marshal(struct {
-		Hops            int     `json:"hops"`
-		PacketsPerSec   float64 `json:"topo_packets_per_sec"`
-		AllocsPerPacket float64 `json:"topo_allocs_per_packet"`
-	}{Hops: 3, PacketsPerSec: pktsPerSec, AllocsPerPacket: allocsPerPkt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc["topo"] = blk
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("topo: %.0f hop-packets/sec (%.4f allocs/packet) over 3 hops -> %s",
-		pktsPerSec, allocsPerPkt, path)
+	t.Logf("topo: %.0f hop-packets/sec (%.4f allocs/packet) over 3 hops", pktsPerSec, allocsPerPkt)
 
 	if os.Getenv("TOPO_BENCH_GUARD") != "" {
 		if allocsPerPkt >= 1 {

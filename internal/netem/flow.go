@@ -90,9 +90,14 @@ type Flow struct {
 	appTokens float64
 	appLast   time.Duration
 
+	// inflight[head:] is the live window: one entry per sequence number
+	// from headSeq up to nextSeq. Resolved entries at the front are
+	// skipped by advancing head; sendPacket compacts the dead prefix
+	// once it is at least half the array.
 	nextSeq       int64
 	headSeq       int64
 	inflight      []pktState
+	head          int
 	inflightBytes int
 
 	delivered int64
@@ -264,6 +269,11 @@ func (f *Flow) sendPacket(now time.Duration) {
 	p.SentAt = now
 	p.DeliveredAtSend = f.delivered
 	f.nextSeq++
+	if f.head > 0 && f.head*2 >= len(f.inflight) {
+		n := copy(f.inflight, f.inflight[f.head:])
+		f.inflight = f.inflight[:n]
+		f.head = 0
+	}
 	f.inflight = append(f.inflight, pktState{size: p.Size, sentAt: now, deliveredAtSend: p.DeliveredAtSend})
 	f.inflightBytes += p.Size
 	f.Stats.SentBytes += int64(p.Size)
@@ -289,11 +299,12 @@ func (f *Flow) onAck(p *Packet) {
 	seq, size, sentAt, deliveredAtSend, ce := p.Seq, p.Size, p.SentAt, p.DeliveredAtSend, p.CE
 	f.topo.pool.put(p)
 	now := f.topo.Eng.Now()
+	win := f.inflight[f.head:]
 	idx := int(seq - f.headSeq)
-	if idx < 0 || idx >= len(f.inflight) || f.inflight[idx].done {
+	if idx < 0 || idx >= len(win) || win[idx].done {
 		return // duplicate or already resolved
 	}
-	f.inflight[idx].done = true
+	win[idx].done = true
 	f.inflightBytes -= size
 	f.delivered += int64(size)
 	f.rtoBackoff = 0
@@ -321,13 +332,13 @@ func (f *Flow) onAck(p *Packet) {
 	lost := 0
 	var lostSentAt time.Duration
 	for i := 0; i < idx-reorderThreshold; i++ {
-		if !f.inflight[i].done {
-			f.inflight[i].done = true
-			f.inflightBytes -= f.inflight[i].size
+		if !win[i].done {
+			win[i].done = true
+			f.inflightBytes -= win[i].size
 			if lost == 0 {
-				lostSentAt = f.inflight[i].sentAt
+				lostSentAt = win[i].sentAt
 			}
-			lost += f.inflight[i].size
+			lost += win[i].size
 		}
 	}
 	f.popResolved()
@@ -360,16 +371,14 @@ func (f *Flow) onAck(p *Packet) {
 	f.trySend()
 }
 
+// popResolved advances the window head past resolved entries.
 func (f *Flow) popResolved() {
-	i := 0
+	i := f.head
 	for i < len(f.inflight) && f.inflight[i].done {
 		i++
 	}
-	if i > 0 {
-		n := copy(f.inflight, f.inflight[i:])
-		f.inflight = f.inflight[:n]
-		f.headSeq += int64(i)
-	}
+	f.headSeq += int64(i - f.head)
+	f.head = i
 }
 
 func (f *Flow) updateRTT(rtt time.Duration) {
@@ -430,16 +439,16 @@ func (f *Flow) onRTO() {
 	now := f.topo.Eng.Now()
 	lost := 0
 	var lostSentAt time.Duration
-	for i := range f.inflight {
-		if !f.inflight[i].done {
-			f.inflight[i].done = true
+	for _, p := range f.inflight[f.head:] {
+		if !p.done {
 			if lost == 0 {
-				lostSentAt = f.inflight[i].sentAt
+				lostSentAt = p.sentAt
 			}
-			lost += f.inflight[i].size
+			lost += p.size
 		}
 	}
 	f.inflight = f.inflight[:0]
+	f.head = 0
 	f.headSeq = f.nextSeq
 	f.inflightBytes = 0
 	if lost == 0 {
@@ -454,5 +463,10 @@ func (f *Flow) onRTO() {
 	f.trySend()
 }
 
-// nanotime reads the wall clock for compute-cost accounting.
-func nanotime() int64 { return time.Now().UnixNano() }
+// clockEpoch anchors nanotime's monotonic readings.
+var clockEpoch = time.Now()
+
+// nanotime reads the monotonic clock for compute-cost accounting. Since
+// clockEpoch carries a monotonic reading, time.Since reads only that
+// clock; time.Now would read the wall clock as well.
+func nanotime() int64 { return int64(time.Since(clockEpoch)) }

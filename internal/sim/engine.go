@@ -11,8 +11,10 @@
 // entries — no per-event pointer, no interface boxing, no container/heap
 // dispatch. Event payloads (the function to run) live in a generation-
 // counted slot table recycled through a free list, so steady-state
-// scheduling and dispatch allocate nothing. Two scheduling APIs share
-// this machinery:
+// scheduling and dispatch allocate nothing. Each armed slot records its
+// entry's heap index, so Cancel removes the entry in O(log n) and the
+// heap holds exactly the pending events. Two scheduling APIs share this
+// machinery:
 //
 //   - At/After take a closure. Convenient, but the closure itself is an
 //     allocation at the call site — use on setup and other cold paths.
@@ -45,14 +47,15 @@ type heapEntry struct {
 	at   Clock
 	seq  uint64 // tie-breaker: FIFO among same-instant events
 	slot int32
-	gen  uint32
 }
 
 // slotRec holds one scheduled event's payload. gen increments every time
-// the slot changes state (armed, fired, cancelled), so stale heap entries
-// and stale Timer handles are recognised in O(1) even after slot reuse.
+// the slot is released (fired or cancelled), so stale Timer handles are
+// recognised in O(1) even after slot reuse. pos is the armed event's
+// index in the heap, kept current by every sift.
 type slotRec struct {
 	gen uint32
+	pos int32
 	fn  func()
 	cb  Callback
 	arg any
@@ -66,7 +69,6 @@ type Engine struct {
 	heap       []heapEntry
 	slots      []slotRec
 	free       []int32 // recycled slot indices
-	live       int     // scheduled and not yet cancelled/dispatched
 	rng        *rand.Rand
 	halted     bool
 	dispatched int64 // total events fired, counted on the hot path
@@ -118,9 +120,9 @@ func less(a, b *heapEntry) bool {
 	return a.seq < b.seq
 }
 
-// siftUp restores heap order from leaf i towards the root.
+// siftUp restores heap order from entry i towards the root.
 func (e *Engine) siftUp(i int) {
-	h := e.heap
+	h, slots := e.heap, e.slots
 	ent := h[i]
 	for i > 0 {
 		p := (i - 1) >> 2
@@ -128,14 +130,16 @@ func (e *Engine) siftUp(i int) {
 			break
 		}
 		h[i] = h[p]
+		slots[h[i].slot].pos = int32(i)
 		i = p
 	}
 	h[i] = ent
+	slots[ent.slot].pos = int32(i)
 }
 
-// siftDown restores heap order from the root (or an arbitrary hole) down.
+// siftDown restores heap order from entry i (the root or a hole) down.
 func (e *Engine) siftDown(i int) {
-	h := e.heap
+	h, slots := e.heap, e.slots
 	n := len(h)
 	ent := h[i]
 	for {
@@ -157,18 +161,26 @@ func (e *Engine) siftDown(i int) {
 			break
 		}
 		h[i] = h[m]
+		slots[h[i].slot].pos = int32(i)
 		i = m
 	}
 	h[i] = ent
+	slots[ent.slot].pos = int32(i)
 }
 
-// popTop removes the minimum entry.
-func (e *Engine) popTop() {
+// removeAt deletes heap entry i: the last entry fills the hole and sifts
+// whichever way restores order.
+func (e *Engine) removeAt(i int) {
 	n := len(e.heap) - 1
-	e.heap[0] = e.heap[n]
+	e.heap[i] = e.heap[n]
 	e.heap = e.heap[:n]
-	if n > 0 {
-		e.siftDown(0)
+	if i == n {
+		return
+	}
+	if i > 0 && less(&e.heap[i], &e.heap[(i-1)>>2]) {
+		e.siftUp(i)
+	} else {
+		e.siftDown(i)
 	}
 }
 
@@ -183,6 +195,15 @@ func (e *Engine) allocSlot() int32 {
 	return int32(len(e.slots) - 1)
 }
 
+// release retires slot s once its event fired or was cancelled: the
+// generation bump stales every Timer handle to it.
+func (e *Engine) release(s int32) {
+	rec := &e.slots[s]
+	rec.gen++
+	rec.fn, rec.cb, rec.arg = nil, nil, nil
+	e.free = append(e.free, s)
+}
+
 // schedule arms one event. Exactly one of fn/cb is non-nil.
 func (e *Engine) schedule(t Clock, fn func(), cb Callback, arg any) Timer {
 	if t < e.now {
@@ -190,12 +211,10 @@ func (e *Engine) schedule(t Clock, fn func(), cb Callback, arg any) Timer {
 	}
 	s := e.allocSlot()
 	rec := &e.slots[s]
-	rec.gen++ // distinguishes this arming from every previous use of the slot
 	rec.fn, rec.cb, rec.arg = fn, cb, arg
-	e.heap = append(e.heap, heapEntry{at: t, seq: e.seq, slot: s, gen: rec.gen})
+	e.heap = append(e.heap, heapEntry{at: t, seq: e.seq, slot: s})
 	e.seq++
 	e.siftUp(len(e.heap) - 1)
-	e.live++
 	return Timer{slot: s + 1, gen: rec.gen}
 }
 
@@ -223,38 +242,35 @@ func (e *Engine) AfterCall(d Clock, cb Callback, arg any) Timer {
 	return e.schedule(e.now+d, nil, cb, arg)
 }
 
-// Cancel removes a scheduled event in O(1). Cancelling the zero Timer, an
-// already-fired timer, an already-cancelled timer, or a timer whose slot
-// has since been reused is a no-op (the generation check catches all
-// four). The heap entry stays behind and is discarded lazily at pop.
+// Cancel removes a scheduled event and its heap entry in O(log n).
+// Cancelling the zero Timer, an already-fired timer, an already-cancelled
+// timer, or a timer whose slot has since been reused is a no-op (the
+// generation check catches all four).
 func (e *Engine) Cancel(t Timer) {
 	if t.slot == 0 {
 		return
 	}
-	rec := &e.slots[t.slot-1]
-	if rec.gen != t.gen {
+	s := t.slot - 1
+	if e.slots[s].gen != t.gen {
 		return
 	}
-	rec.gen++ // kill the heap entry and any duplicate handles
-	rec.fn, rec.cb, rec.arg = nil, nil, nil
-	e.free = append(e.free, t.slot-1)
-	e.live--
+	e.removeAt(int(e.slots[s].pos))
+	e.release(s)
 }
 
 // Halt stops Run before the next event is dispatched.
 func (e *Engine) Halt() { e.halted = true }
 
-// dispatchTop fires the (live) minimum entry. The slot is released before
-// the payload runs, so a callback may re-arm freely; its own Timer handle
-// is already stale by then.
-func (e *Engine) dispatchTop(ent heapEntry, rec *slotRec) {
-	e.popTop()
+// dispatchTop fires the minimum entry. The slot is released before the
+// payload runs, so a callback may re-arm freely; its own Timer handle is
+// already stale by then.
+func (e *Engine) dispatchTop() {
+	ent := e.heap[0]
+	e.removeAt(0)
 	e.now = ent.at
+	rec := &e.slots[ent.slot]
 	fn, cb, arg := rec.fn, rec.cb, rec.arg
-	rec.gen++
-	rec.fn, rec.cb, rec.arg = nil, nil, nil
-	e.free = append(e.free, ent.slot)
-	e.live--
+	e.release(ent.slot)
 	e.dispatched++
 	if e.dispatched&(progressStride-1) == 0 {
 		e.publishProgress()
@@ -270,7 +286,7 @@ func (e *Engine) dispatchTop(ent heapEntry, rec *slotRec) {
 func (e *Engine) publishProgress() {
 	e.progress.simNs.Store(int64(e.now))
 	e.progress.events.Store(e.dispatched)
-	e.progress.pending.Store(int64(e.live))
+	e.progress.pending.Store(int64(len(e.heap)))
 }
 
 // Progress returns virtual time (ns), total dispatched events, and
@@ -287,17 +303,8 @@ func (e *Engine) Progress() (simNs, events, pending int64) {
 // event, or at until if the queue drained earlier.
 func (e *Engine) Run(until Clock) {
 	e.halted = false
-	for len(e.heap) > 0 && !e.halted {
-		ent := e.heap[0]
-		rec := &e.slots[ent.slot]
-		if rec.gen != ent.gen { // cancelled; discard lazily
-			e.popTop()
-			continue
-		}
-		if ent.at > until {
-			break
-		}
-		e.dispatchTop(ent, rec)
+	for len(e.heap) > 0 && !e.halted && e.heap[0].at <= until {
+		e.dispatchTop()
 	}
 	if e.now < until {
 		e.now = until
@@ -308,30 +315,25 @@ func (e *Engine) Run(until Clock) {
 // Step dispatches the single next pending event and reports whether one
 // was dispatched.
 func (e *Engine) Step() bool {
-	for len(e.heap) > 0 {
-		ent := e.heap[0]
-		rec := &e.slots[ent.slot]
-		if rec.gen != ent.gen {
-			e.popTop()
-			continue
-		}
-		e.dispatchTop(ent, rec)
-		return true
+	if len(e.heap) == 0 {
+		return false
 	}
-	return false
+	e.dispatchTop()
+	return true
 }
 
-// Pending returns the number of scheduled (non-cancelled) events in O(1),
-// maintained as a live counter across schedule/cancel/dispatch.
-func (e *Engine) Pending() int { return e.live }
+// Pending returns the number of scheduled (non-cancelled) events in O(1):
+// cancelled and fired events leave the heap at once.
+func (e *Engine) Pending() int { return len(e.heap) }
 
-// pendingLinear recounts live events by scanning the heap — the O(n)
-// definition Pending used to implement. Tests assert the counter against
-// it.
+// pendingLinear recounts pending events by scanning the heap for entries
+// whose slot is armed and records that entry's position. Tests assert
+// Pending and the position index against it.
 func (e *Engine) pendingLinear() int {
 	n := 0
-	for i := range e.heap {
-		if e.slots[e.heap[i].slot].gen == e.heap[i].gen {
+	for i, ent := range e.heap {
+		rec := &e.slots[ent.slot]
+		if (rec.fn != nil || rec.cb != nil) && int(rec.pos) == i {
 			n++
 		}
 	}

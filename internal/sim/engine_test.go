@@ -201,8 +201,9 @@ func TestSameInstantFIFOMixedAPIs(t *testing.T) {
 	}
 }
 
-// Pending's O(1) live counter must always agree with the O(n) scan it
-// replaced, across an adversarial schedule/cancel/dispatch mix.
+// Pending must always agree with an O(n) scan for armed, correctly
+// indexed heap entries, across an adversarial schedule/cancel/dispatch
+// mix.
 func TestPendingMatchesLinearCount(t *testing.T) {
 	e := New(3)
 	check := func(ctx string) {
@@ -238,6 +239,147 @@ func TestPendingMatchesLinearCount(t *testing.T) {
 	check("before cancel-inside-callback run")
 	e.Run(e.Now() + time.Second)
 	check("after cancel-inside-callback run")
+}
+
+// modelEvent is one pending event in the reference model.
+type modelEvent struct {
+	at  Clock
+	seq uint64
+	id  int
+}
+
+// engineModel mirrors an Engine with a plain slice kept sorted by
+// (at, seq), the order the heap must dispatch in.
+type engineModel struct {
+	t       *testing.T
+	e       *Engine
+	rng     *rand.Rand
+	seq     uint64       // mirrors the engine's scheduling sequence
+	pending []modelEvent // sorted by (at, seq)
+	handles []Timer      // every handle ever issued, indexed by id
+	rtoID   int          // the timer re-armed the way a flow's RTO is
+}
+
+// check asserts that the heap holds exactly the model's pending events.
+func (m *engineModel) check(ctx string) {
+	m.t.Helper()
+	if len(m.e.heap) != m.e.Pending() || m.e.Pending() != len(m.pending) || m.e.pendingLinear() != len(m.pending) {
+		m.t.Fatalf("%s: heap %d entries, Pending() %d, linear recount %d, model %d pending",
+			ctx, len(m.e.heap), m.e.Pending(), m.e.pendingLinear(), len(m.pending))
+	}
+}
+
+// schedule arms one event at a coarse offset from now (ties are common,
+// and a negative offset exercises the clamp) through At or AtCall.
+func (m *engineModel) schedule() int {
+	id := len(m.handles)
+	at := m.e.Now() + Clock(m.rng.Intn(24)-4)*time.Millisecond
+	var tm Timer
+	if m.rng.Intn(2) == 0 {
+		tm = m.e.At(at, func() { m.fire(id) })
+	} else {
+		tm = m.e.AtCall(at, func(arg any) { m.fire(arg.(int)) }, id)
+	}
+	if at < m.e.Now() {
+		at = m.e.Now()
+	}
+	ev := modelEvent{at: at, seq: m.seq, id: id}
+	m.seq++
+	i := sort.Search(len(m.pending), func(i int) bool {
+		p := m.pending[i]
+		return p.at > ev.at || (p.at == ev.at && p.seq > ev.seq)
+	})
+	m.pending = append(m.pending, modelEvent{})
+	copy(m.pending[i+1:], m.pending[i:])
+	m.pending[i] = ev
+	m.handles = append(m.handles, tm)
+	return id
+}
+
+// cancel cancels handle id, which may be pending, fired or cancelled.
+func (m *engineModel) cancel(id int) {
+	m.e.Cancel(m.handles[id])
+	for i, p := range m.pending {
+		if p.id == id {
+			m.pending = append(m.pending[:i], m.pending[i+1:]...)
+			break
+		}
+	}
+}
+
+// rearm cancels the RTO-style timer and arms a fresh one.
+func (m *engineModel) rearm() {
+	m.cancel(m.rtoID)
+	m.rtoID = m.schedule()
+}
+
+// op applies one random operation.
+func (m *engineModel) op() {
+	switch r := m.rng.Intn(10); {
+	case r < 4:
+		m.schedule()
+	case r < 6:
+		m.cancel(m.rng.Intn(len(m.handles)))
+	case r < 8:
+		m.rearm()
+	case r < 9:
+		m.e.Step()
+	default:
+		until := m.e.Now() + Clock(m.rng.Intn(6))*time.Millisecond
+		m.e.Run(until)
+		if len(m.pending) > 0 && m.pending[0].at <= until {
+			m.t.Fatalf("Run(%v) left event %d due at %v", until, m.pending[0].id, m.pending[0].at)
+		}
+	}
+	m.check("after op")
+}
+
+// fire checks a dispatch against the model's minimum, then lets the
+// callback schedule, cancel (itself included) and re-arm.
+func (m *engineModel) fire(id int) {
+	m.t.Helper()
+	if len(m.pending) == 0 {
+		m.t.Fatalf("event %d fired with nothing pending in the model", id)
+	}
+	want := m.pending[0]
+	if want.id != id || want.at != m.e.Now() {
+		m.t.Fatalf("dispatched event %d at %v, model expected event %d at %v", id, m.e.Now(), want.id, want.at)
+	}
+	m.pending = m.pending[1:]
+	m.check("inside callback")
+	for k := m.rng.Intn(3); k > 0; k-- {
+		switch m.rng.Intn(4) {
+		case 0:
+			m.schedule()
+		case 1:
+			m.cancel(id) // stale: the firing event's own handle
+		case 2:
+			m.cancel(m.rng.Intn(len(m.handles)))
+		default:
+			m.rearm()
+		}
+		m.check("after callback op")
+	}
+}
+
+// Property: under a random mix of At/AtCall, Cancel (of pending, fired
+// and cancelled handles, and from inside callbacks), RTO-style re-arms,
+// Step and Run, the engine dispatches in the reference model's (at, seq)
+// order, and its heap holds exactly the pending events after every
+// operation.
+func TestEngineMatchesReferenceModel(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		m := &engineModel{t: t, e: New(seed), rng: rand.New(rand.NewSource(seed))}
+		m.rtoID = m.schedule()
+		for i := 0; i < 2000; i++ {
+			m.op()
+		}
+		m.e.Run(m.e.Now() + time.Hour)
+		m.check("after drain")
+		if len(m.pending) != 0 {
+			t.Fatalf("seed %d: %d model events never fired", seed, len(m.pending))
+		}
+	}
 }
 
 // A Timer handle must go stale the moment its event fires, even when the

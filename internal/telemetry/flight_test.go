@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -208,8 +207,6 @@ func BenchmarkFlightEmit(b *testing.B) {
 // allocations per event in steady state (always enforced), and
 // ≤ 50 ns/event when FLIGHT_BENCH_GUARD arms the wall-clock bound
 // (make bench-core / scripts/check.sh run this package in isolation).
-// Guarded runs also record the measurement as the "flight" block of
-// BENCH_core.json, preserving every other recorded series.
 func TestFlightEmitBudget(t *testing.T) {
 	fl := NewFlightRecorder(FlightConfig{})
 	ev := Event{T: 1, Type: TypeEnqueue, Flow: 0, Seq: 42, Bytes: 1500, Queue: 30000}
@@ -235,37 +232,4 @@ func TestFlightEmitBudget(t *testing.T) {
 	if ns > 50 {
 		t.Fatalf("flight recorder costs %.2f ns/event, budget is <= 50 ns/event", ns)
 	}
-	recordFlightBench(t, ns)
-}
-
-// recordFlightBench merges the flight measurement into BENCH_core.json
-// without disturbing the engine/netem blocks recorded by TestBenchCore.
-func recordFlightBench(t *testing.T, nsPerEvent float64) {
-	path := os.Getenv("FLIGHT_BENCH_OUT")
-	if path == "" {
-		path = "../../BENCH_core.json"
-	}
-	doc := map[string]json.RawMessage{}
-	if prev, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(prev, &doc); err != nil {
-			t.Fatalf("existing %s is not a JSON object: %v", path, err)
-		}
-	}
-	blk, err := json.Marshal(struct {
-		NsPerEvent     float64 `json:"flight_ns_per_event"`
-		AllocsPerEvent float64 `json:"flight_allocs_per_event"`
-		Depth          int     `json:"ring_depth"`
-	}{NsPerEvent: nsPerEvent, Depth: DefaultFlightDepth})
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc["flight"] = blk
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("recorded flight block -> %s", path)
 }

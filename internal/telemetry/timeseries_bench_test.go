@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"bytes"
-	"encoding/json"
 	"os"
 	"testing"
 	"time"
@@ -32,9 +30,7 @@ func BenchmarkTSCollectorEmit(b *testing.B) {
 // allocations per event in steady state (always enforced — series and
 // flow slots may only allocate on first sight), and ≤ 50 ns/event when
 // TIMESERIES_BENCH_GUARD arms the wall-clock bound (make bench-core /
-// scripts/check.sh run this package in isolation). Guarded runs also
-// record the measurement as the "timeseries" block of BENCH_core.json,
-// preserving every other recorded series.
+// scripts/check.sh run this package in isolation).
 func TestTimeSeriesBudget(t *testing.T) {
 	c := NewTSCollector(0, 0)
 	enq := Event{T: 1, Type: TypeEnqueue, Flow: 0, Seq: 42, Bytes: 1500, Queue: 30000}
@@ -67,42 +63,4 @@ func TestTimeSeriesBudget(t *testing.T) {
 	if ns > 50 {
 		t.Fatalf("time-series collector costs %.2f ns/event, budget is <= 50 ns/event", ns)
 	}
-	recordTimeSeriesBench(t, ns)
-}
-
-// recordTimeSeriesBench merges the time-series measurement into
-// BENCH_core.json without disturbing the other recorded blocks.
-func recordTimeSeriesBench(t *testing.T, nsPerEvent float64) {
-	path := os.Getenv("TIMESERIES_BENCH_OUT")
-	if path == "" {
-		path = "../../BENCH_core.json"
-	}
-	doc := map[string]json.RawMessage{}
-	if prev, err := os.ReadFile(path); err == nil && len(bytes.TrimSpace(prev)) > 0 {
-		if err := json.Unmarshal(prev, &doc); err != nil {
-			t.Fatalf("existing %s is not a JSON object: %v", path, err)
-		}
-	}
-	blk, err := json.Marshal(struct {
-		NsPerEvent     float64 `json:"ts_ns_per_event"`
-		AllocsPerEvent float64 `json:"ts_allocs_per_event"`
-		BucketMs       float64 `json:"base_bucket_ms"`
-		Capacity       int     `json:"bucket_capacity"`
-	}{
-		NsPerEvent: nsPerEvent,
-		BucketMs:   float64(DefaultTSBucket) / 1e6,
-		Capacity:   DefaultTSCapacity,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc["timeseries"] = blk
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("recorded timeseries block -> %s", path)
 }
