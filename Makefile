@@ -90,7 +90,11 @@ lab:
 	$(GO) run ./cmd/libra-lab tournament -cca cubic,bbr -budget 14 -dur 3s -seed 7 && \
 	rm -rf $$tmp
 
-check: vet build race fuzz bench-guard bench-core bench-nn bench-topo bench-lab analyze lab
+# Full pre-merge gate. scripts/check.sh is its one definition (gofmt,
+# vet, build, race sweep, fuzz, budget guards, CLI smokes), so make and
+# make-less environments run the same gate.
+check:
+	sh scripts/check.sh
 
 clean:
 	$(GO) clean ./...

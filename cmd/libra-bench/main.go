@@ -21,27 +21,19 @@ import (
 	"libra/internal/cliutil"
 	"libra/internal/exp"
 	"libra/internal/netem/faults"
-	"libra/internal/telemetry"
 )
 
 func main() {
 	var (
-		list       = flag.Bool("list", false, "list experiments and exit")
-		run        = flag.String("run", "", "comma-separated experiment IDs")
-		all        = flag.Bool("all", false, "run every experiment")
-		quick      = flag.Bool("quick", false, "reduced durations/repeats")
-		seed       = flag.Int64("seed", 1, "random seed")
-		models     = flag.String("models", "", "directory of trained models (from libra-train)")
-		faultSpec  = flag.String("fault", "", "apply a fault plan to every run: a preset name ("+strings.Join(faults.PresetNames(), "|")+") or a JSON plan file")
-		topoArg    = flag.String("topo", "", "run every experiment over a multi-hop topology: a preset name ("+strings.Join(exp.TopoPresetNames(), "|")+") or a JSON topology file")
-		traceOut   = flag.String("trace-out", "", "write a JSONL telemetry event stream of every run to this file")
-		metricsOut = flag.String("metrics-out", "", "write a metrics snapshot to this file after the runs")
-		metricsFmt = flag.String("metrics-format", "auto", "metrics snapshot format: auto|json|prom")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and /metrics on this address")
-		httpAddr   = flag.String("http", "", "serve the live flow dashboard (plus pprof and /metrics) on this address")
-		parallel   = cliutil.ParallelFlag()
-		flightOut  = cliutil.FlightFlag()
-		tsOut      = cliutil.TimeSeriesFlag()
+		list      = flag.Bool("list", false, "list experiments and exit")
+		run       = flag.String("run", "", "comma-separated experiment IDs")
+		all       = flag.Bool("all", false, "run every experiment")
+		quick     = flag.Bool("quick", false, "reduced durations/repeats")
+		seed      = flag.Int64("seed", 1, "random seed")
+		models    = flag.String("models", "", "directory of trained models (from libra-train)")
+		faultSpec = flag.String("fault", "", "apply a fault plan to every run: a preset name ("+strings.Join(faults.PresetNames(), "|")+") or a JSON plan file")
+		topoArg   = flag.String("topo", "", "run every experiment over a multi-hop topology: a preset name ("+strings.Join(exp.TopoPresetNames(), "|")+") or a JSON topology file")
+		rig       = cliutil.AddRig(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -76,58 +68,24 @@ func main() {
 		os.Exit(2)
 	}
 
-	tracer, closeTracer, err := cliutil.OpenTracer(*traceOut)
+	rc, err := rig.Open(*seed, topo)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fatal(err)
 	}
-
-	rc := exp.NewRunContext(*seed)
 	rc.Quick = *quick
-	rc.Workers = *parallel
 	rc.FaultPlan = plan
-	rc.Topo = topo
-	rc.Tracer = tracer
 	if *models != "" {
 		set, err := exp.LoadAgentSet(*models, *seed)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "load models: %v\n", err)
-			os.Exit(1)
+			fatal(fmt.Errorf("load models: %w", err))
 		}
 		rc.Agents = set
-	}
-	rc.WithDefaults()
-
-	flight, closeFlight, err := cliutil.OpenFlight(*flightOut, rc.Metrics)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	// Order matters: the flight recorder precedes the anomaly tap so a
-	// detector-triggered dump already holds the event that tripped it.
-	rc.Tracer = telemetry.Multi(rc.Tracer, cliutil.FlightTap(flight), cliutil.AnomalyTap(flight))
-	// The time-series collector taps the same stream whenever anything
-	// consumes it: a snapshot file, the debug server, or the dashboard.
-	var ts *telemetry.TSCollector
-	if *tsOut != "" || *pprofAddr != "" || *httpAddr != "" {
-		ts = telemetry.NewTSCollector(0, 0)
-		rc.Tracer = telemetry.Multi(rc.Tracer, ts)
-	}
-	health, stopHealth := cliutil.StartHealth(rc.Metrics)
-	rc.Health = health
-
-	cliutil.StartPprof(*pprofAddr, rc.Metrics, ts)
-	if live := cliutil.StartDashboard(*httpAddr, rc.Metrics, ts, topo); live != nil {
-		rc.Tracer = telemetry.Multi(rc.Tracer, live)
-		rc.Live = live
-		fmt.Printf("live dashboard: http://%s/\n", *httpAddr)
 	}
 
 	for _, id := range ids {
 		e, ok := exp.Get(strings.TrimSpace(id))
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", id)
-			os.Exit(1)
+			fatal(fmt.Errorf("unknown experiment %q (use -list)", id))
 		}
 		start := time.Now()
 		// Experiment boundaries land in the stream as global markers so
@@ -139,24 +97,12 @@ func main() {
 		fmt.Printf("(%s completed in %.1fs)\n\n", e.ID, time.Since(start).Seconds())
 	}
 
-	if err := closeTracer(); err != nil {
-		fmt.Fprintf(os.Stderr, "trace-out: %v\n", err)
-		os.Exit(1)
+	if err := rig.Close(); err != nil {
+		fatal(err)
 	}
-	if err := closeFlight(); err != nil {
-		fmt.Fprintf(os.Stderr, "flight-out: %v\n", err)
-		os.Exit(1)
-	}
-	stopHealth()
-	if ts != nil {
-		ts.ExportProm(rc.Metrics)
-	}
-	if err := cliutil.WriteTimeSeries(ts, *tsOut); err != nil {
-		fmt.Fprintf(os.Stderr, "timeseries-out: %v\n", err)
-		os.Exit(1)
-	}
-	if err := cliutil.WriteMetrics(rc.Metrics, *metricsOut, *metricsFmt); err != nil {
-		fmt.Fprintf(os.Stderr, "metrics-out: %v\n", err)
-		os.Exit(1)
-	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(1)
 }

@@ -27,7 +27,6 @@ import (
 	"libra/internal/cliutil"
 	"libra/internal/exp"
 	"libra/internal/lab"
-	"libra/internal/telemetry"
 	"libra/internal/utility"
 )
 
@@ -59,7 +58,7 @@ func usage() {
   libra-lab tournament -cca <a,b,..|all> [-budget N] [-seed N] [-dur 4s] [-json] [-specs-dir dir]
 
 shared flags: -parallel N, -trace-out f.jsonl, -metrics-out f, -metrics-format auto|json|prom,
-              -flight-out dir, -pprof addr, -timeseries-out f.json`)
+              -flight-out dir, -pprof addr, -http addr, -timeseries-out f.json`)
 }
 
 func fatal(err error) {
@@ -67,73 +66,16 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// obsFlags registers the observability flags shared by every
-// subcommand and wires them into a RunContext, mirroring libra-sim.
-type obsFlags struct {
-	parallel   *int
-	traceOut   *string
-	metricsOut *string
-	metricsFmt *string
-	flightOut  *string
-	pprofAddr  *string
-	tsOut      *string
-}
-
-func addObs(fs *flag.FlagSet) *obsFlags {
-	return &obsFlags{
-		parallel:   fs.Int("parallel", 0, "sweep worker count (0 = GOMAXPROCS)"),
-		traceOut:   fs.String("trace-out", "", "write a JSONL telemetry event stream to this file"),
-		metricsOut: fs.String("metrics-out", "", "write a metrics snapshot to this file after the run"),
-		metricsFmt: fs.String("metrics-format", "auto", "metrics snapshot format: auto|json|prom"),
-		flightOut:  fs.String("flight-out", "", "directory for flight-recorder dumps on detected anomalies (empty = off)"),
-		pprofAddr:  fs.String("pprof", "", "serve net/http/pprof and /metrics on this address"),
-		tsOut:      fs.String("timeseries-out", "", "write the downsampled time-series snapshot (JSON) to this file after the run"),
-	}
-}
-
-// rig builds the run context: tracer + flight recorder + anomaly tap
-// (in that order, so dumps hold their triggering event) + health
-// sampler. The returned teardown flushes everything; call it once at
-// the end of the subcommand.
-func (o *obsFlags) rig(seed int64) (*exp.RunContext, func()) {
-	tracer, closeTracer, err := cliutil.OpenTracer(*o.traceOut)
+// openRig opens the operator rig for a subcommand; the returned
+// teardown flushes it and exits on the first sink error.
+func openRig(rig *cliutil.Rig, seed int64) (*exp.RunContext, func()) {
+	rc, err := rig.Open(seed, nil)
 	if err != nil {
 		fatal(err)
 	}
-	rc := exp.NewRunContext(seed)
-	rc.Workers = *o.parallel
-	rc.WithDefaults()
-	flight, closeFlight, err := cliutil.OpenFlight(*o.flightOut, rc.Metrics)
-	if err != nil {
-		fatal(err)
-	}
-	rc.Tracer = telemetry.Multi(tracer, cliutil.FlightTap(flight), cliutil.AnomalyTap(flight))
-	// The time-series collector taps the same stream whenever anything
-	// consumes it: a snapshot file or the debug server.
-	var ts *telemetry.TSCollector
-	if *o.tsOut != "" || *o.pprofAddr != "" {
-		ts = telemetry.NewTSCollector(0, 0)
-		rc.Tracer = telemetry.Multi(rc.Tracer, ts)
-	}
-	health, stopHealth := cliutil.StartHealth(rc.Metrics)
-	rc.Health = health
-	cliutil.StartPprof(*o.pprofAddr, rc.Metrics, ts)
 	return rc, func() {
-		if err := closeTracer(); err != nil {
-			fatal(fmt.Errorf("trace-out: %w", err))
-		}
-		if err := closeFlight(); err != nil {
-			fatal(fmt.Errorf("flight-out: %w", err))
-		}
-		stopHealth()
-		if ts != nil {
-			ts.ExportProm(rc.Metrics)
-		}
-		if err := cliutil.WriteTimeSeries(ts, *o.tsOut); err != nil {
-			fatal(fmt.Errorf("timeseries-out: %w", err))
-		}
-		if err := cliutil.WriteMetrics(rc.Metrics, *o.metricsOut, *o.metricsFmt); err != nil {
-			fatal(fmt.Errorf("metrics-out: %w", err))
+		if err := rig.Close(); err != nil {
+			fatal(err)
 		}
 	}
 }
@@ -146,14 +88,14 @@ func runSearch(args []string) {
 	dur := fs.Duration("dur", 4*time.Second, "simulated length of each evaluation")
 	out := fs.String("o", "", "write the discovered worst case as a replayable spec file")
 	jsonOut := fs.Bool("json", false, "emit the full machine-readable search result")
-	obs := addObs(fs)
+	rig := cliutil.AddRig(fs)
 	fs.Parse(args)
 	if *cca == "" {
 		fs.Usage()
 		fatal(fmt.Errorf("search: -cca is required (one of %s)", strings.Join(exp.KnownCCAs(), ", ")))
 	}
 
-	rc, teardown := obs.rig(*seed)
+	rc, teardown := openRig(rig, *seed)
 	sr, err := lab.Search(rc, lab.SearchConfig{
 		Target: *cca, Seed: *seed, Budget: *budget, DurS: dur.Seconds(),
 	})
@@ -197,7 +139,7 @@ func runReplay(args []string) {
 	specPath := fs.String("spec", "", "worst-case spec file to replay (required)")
 	cca := fs.String("cca", "", "override the spec's target controller")
 	jsonOut := fs.Bool("json", false, "emit the machine-readable outcome")
-	obs := addObs(fs)
+	rig := cliutil.AddRig(fs)
 	fs.Parse(args)
 	if *specPath == "" {
 		fs.Usage()
@@ -214,7 +156,7 @@ func runReplay(args []string) {
 		}
 	}
 
-	rc, teardown := obs.rig(sp.Seed)
+	rc, teardown := openRig(rig, sp.Seed)
 	out := lab.Replay(rc, sp, utility.Default(), true)
 	if *jsonOut {
 		if err := writeJSON(os.Stdout, out); err != nil {
@@ -242,7 +184,7 @@ func runTournament(args []string) {
 	jsonOut := fs.Bool("json", false, "emit the machine-readable leaderboard (includes worst-case specs)")
 	out := fs.String("o", "", "also write the JSON leaderboard to this file")
 	specsDir := fs.String("specs-dir", "", "write each contestant's worst-case spec into this directory")
-	obs := addObs(fs)
+	rig := cliutil.AddRig(fs)
 	fs.Parse(args)
 
 	var contestants []string
@@ -256,7 +198,7 @@ func runTournament(args []string) {
 		}
 	}
 
-	rc, teardown := obs.rig(*seed)
+	rc, teardown := openRig(rig, *seed)
 	lb, err := lab.Tournament(rc, lab.TournamentConfig{
 		CCAs: contestants, Seed: *seed, Budget: *budget, DurS: dur.Seconds(),
 	})

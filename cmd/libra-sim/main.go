@@ -22,32 +22,24 @@ import (
 	"libra/internal/exp"
 	"libra/internal/netem"
 	"libra/internal/netem/faults"
-	"libra/internal/telemetry"
 	"libra/internal/trace"
 )
 
 func main() {
 	var (
-		ccas       = flag.String("cca", "c-libra", "comma-separated controllers sharing the bottleneck")
-		capMbps    = flag.Float64("capacity", 48, "link capacity in Mbps (ignored with -trace)")
-		traceSpec  = flag.String("trace", "", "capacity trace: lte:stationary|walking|driving|tour, or step:P,L1,L2,...")
-		rtt        = flag.Duration("rtt", 40*time.Millisecond, "minimum RTT")
-		buffer     = flag.Int("buffer", 150000, "droptail buffer in bytes")
-		loss       = flag.Float64("loss", 0, "iid stochastic loss probability")
-		dur        = flag.Duration("dur", 30*time.Second, "simulated duration")
-		seed       = flag.Int64("seed", 1, "random seed")
-		reps       = flag.Int("reps", 1, "repeat the run this many times with derived seeds")
-		faultSpec  = flag.String("fault", "", "fault plan: a preset name ("+strings.Join(faults.PresetNames(), "|")+") or a JSON plan file")
-		topoArg    = flag.String("topo", "", "multi-hop topology: a preset name ("+strings.Join(exp.TopoPresetNames(), "|")+") or a JSON topology file; overrides -capacity/-trace/-rtt/-buffer/-loss")
-		profSpec   = flag.String("profiles", "", "comma-separated utility profiles ("+strings.Join(exp.ProfileNames(), "|")+"); one flow per profile, overrides -cca")
-		traceOut   = flag.String("trace-out", "", "write a JSONL telemetry event stream to this file")
-		metricsOut = flag.String("metrics-out", "", "write a metrics snapshot to this file after the run")
-		metricsFmt = flag.String("metrics-format", "auto", "metrics snapshot format: auto|json|prom")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and /metrics on this address")
-		httpAddr   = flag.String("http", "", "serve the live flow dashboard (plus pprof and /metrics) on this address")
-		parallel   = cliutil.ParallelFlag()
-		flightOut  = cliutil.FlightFlag()
-		tsOut      = cliutil.TimeSeriesFlag()
+		ccas      = flag.String("cca", "c-libra", "comma-separated controllers sharing the bottleneck")
+		capMbps   = flag.Float64("capacity", 48, "link capacity in Mbps (ignored with -trace)")
+		traceSpec = flag.String("trace", "", "capacity trace: lte:stationary|walking|driving|tour, or step:P,L1,L2,...")
+		rtt       = flag.Duration("rtt", 40*time.Millisecond, "minimum RTT")
+		buffer    = flag.Int("buffer", 150000, "droptail buffer in bytes")
+		loss      = flag.Float64("loss", 0, "iid stochastic loss probability")
+		dur       = flag.Duration("dur", 30*time.Second, "simulated duration")
+		seed      = flag.Int64("seed", 1, "random seed")
+		reps      = flag.Int("reps", 1, "repeat the run this many times with derived seeds")
+		faultSpec = flag.String("fault", "", "fault plan: a preset name ("+strings.Join(faults.PresetNames(), "|")+") or a JSON plan file")
+		topoArg   = flag.String("topo", "", "multi-hop topology: a preset name ("+strings.Join(exp.TopoPresetNames(), "|")+") or a JSON topology file; overrides -capacity/-trace/-rtt/-buffer/-loss")
+		profSpec  = flag.String("profiles", "", "comma-separated utility profiles ("+strings.Join(exp.ProfileNames(), "|")+"); one flow per profile, overrides -cca")
+		rig       = cliutil.AddRig(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -60,38 +52,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-
-	tracer, closeTracer, err := cliutil.OpenTracer(*traceOut)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	rc := exp.NewRunContext(*seed)
-	rc.Workers = *parallel
-	rc.WithDefaults()
-	flight, closeFlight, err := cliutil.OpenFlight(*flightOut, rc.Metrics)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	// Order matters: the flight recorder precedes the anomaly tap so a
-	// detector-triggered dump already holds the event that tripped it.
-	rc.Tracer = telemetry.Multi(tracer, cliutil.FlightTap(flight), cliutil.AnomalyTap(flight))
-	// The time-series collector taps the same stream whenever anything
-	// consumes it: a snapshot file, the debug server, or the dashboard.
-	var ts *telemetry.TSCollector
-	if *tsOut != "" || *pprofAddr != "" || *httpAddr != "" {
-		ts = telemetry.NewTSCollector(0, 0)
-		rc.Tracer = telemetry.Multi(rc.Tracer, ts)
-	}
-	health, stopHealth := cliutil.StartHealth(rc.Metrics)
-	rc.Health = health
-	cliutil.StartPprof(*pprofAddr, rc.Metrics, ts)
-	if live := cliutil.StartDashboard(*httpAddr, rc.Metrics, ts, topo); live != nil {
-		rc.Tracer = telemetry.Multi(rc.Tracer, live)
-		rc.Live = live
-		fmt.Printf("live dashboard: http://%s/\n", *httpAddr)
 	}
 
 	profs, err := exp.ParseProfiles(*profSpec)
@@ -119,6 +79,13 @@ func main() {
 			}
 		}
 	}
+
+	rc, err := rig.Open(*seed, topo)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+
 	// makerAt resolves flow i's controller factory: the profile's
 	// (utility-parameterised) maker with -profiles, else the plain CCA.
 	makerAt := func(i int) exp.Maker {
@@ -242,24 +209,8 @@ func main() {
 		}
 	}
 
-	if err := closeTracer(); err != nil {
-		fmt.Fprintf(os.Stderr, "trace-out: %v\n", err)
-		os.Exit(1)
-	}
-	if err := closeFlight(); err != nil {
-		fmt.Fprintf(os.Stderr, "flight-out: %v\n", err)
-		os.Exit(1)
-	}
-	stopHealth()
-	if ts != nil {
-		ts.ExportProm(rc.Metrics)
-	}
-	if err := cliutil.WriteTimeSeries(ts, *tsOut); err != nil {
-		fmt.Fprintf(os.Stderr, "timeseries-out: %v\n", err)
-		os.Exit(1)
-	}
-	if err := cliutil.WriteMetrics(rc.Metrics, *metricsOut, *metricsFmt); err != nil {
-		fmt.Fprintf(os.Stderr, "metrics-out: %v\n", err)
+	if err := rig.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }

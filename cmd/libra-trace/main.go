@@ -57,7 +57,7 @@ func main() {
 		out      = flag.String("o", "", "output file (Mahimahi format; default stdout)")
 		inspect  = flag.String("inspect", "", "parse Mahimahi traces (comma-separated) and print statistics")
 		validate = flag.String("validate", "", "validate JSONL event streams (comma-separated) against the telemetry schema")
-		parallel = cliutil.ParallelFlag()
+		parallel = flag.Int("parallel", 0, "-validate/-inspect worker count (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 
@@ -196,23 +196,9 @@ func runSpans(args []string) {
 
 	b := spans.NewBuilder()
 	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
+		if err := readFile(path, b.Add); err != nil {
 			fatal(err)
 		}
-		dec := telemetry.NewDecoder(f)
-		for {
-			e, err := dec.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				f.Close()
-				fatal(fmt.Errorf("%s: %w", path, err))
-			}
-			b.Add(&e)
-		}
-		f.Close()
 	}
 	b.Finish()
 
@@ -262,22 +248,9 @@ func runTimeline(args []string) {
 		err error
 	}
 	results := sweep.Map(sweep.Workers(*parallel), len(paths), func(i int) result {
-		f, err := os.Open(paths[i])
-		if err != nil {
-			return result{err: err}
-		}
-		defer f.Close()
 		ts := telemetry.NewTSCollector(*bucket, *capacity)
-		dec := telemetry.NewDecoder(f)
-		for {
-			e, err := dec.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return result{err: fmt.Errorf("%s: %w", paths[i], err)}
-			}
-			ts.Emit(&e)
+		if err := readFile(paths[i], ts.Emit); err != nil {
+			return result{err: err}
 		}
 		return result{ts: ts}
 	})
@@ -360,25 +333,25 @@ func replayFlight(paths []string, dir string) error {
 	}
 	tap := telemetry.Multi(cliutil.FlightTap(fl), cliutil.AnomalyTap(fl))
 	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
+		if err := readFile(path, tap.Emit); err != nil {
 			return err
 		}
-		dec := telemetry.NewDecoder(f)
-		for {
-			e, err := dec.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				f.Close()
-				return fmt.Errorf("%s: %w", path, err)
-			}
-			tap.Emit(&e)
-		}
-		f.Close()
 	}
 	return closeFlight()
+}
+
+// readFile replays the JSONL event stream at path into emit; a decode
+// error names the file.
+func readFile(path string, emit func(*telemetry.Event)) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if err := telemetry.ReadEach(f, emit); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
 }
 
 // analyzeFiles analyzes every file on `workers` workers and merges the

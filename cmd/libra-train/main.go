@@ -18,46 +18,23 @@ import (
 	"libra/internal/cliutil"
 	"libra/internal/exp"
 	"libra/internal/rlcc"
-	"libra/internal/telemetry"
 )
 
 func main() {
 	var (
-		out        = flag.String("out", "models", "output directory for trained models")
-		episodes   = flag.Int("episodes", 0, "training episodes per agent (0 = spec default)")
-		epLen      = flag.Duration("eplen", 0, "simulated seconds per episode (0 = spec default)")
-		paper      = flag.Bool("paper", false, "use the paper's full training ranges (slower)")
-		seed       = flag.Int64("seed", 1, "random seed")
-		metricsOut = flag.String("metrics-out", "", "write a metrics snapshot to this file after training")
-		metricsFmt = flag.String("metrics-format", "auto", "metrics snapshot format: auto|json|prom")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and /metrics on this address")
-		parallel   = cliutil.ParallelFlag()
-		flightOut  = cliutil.FlightFlag()
-		tsOut      = cliutil.TimeSeriesFlag()
+		out      = flag.String("out", "models", "output directory for trained models")
+		episodes = flag.Int("episodes", 0, "training episodes per agent (0 = spec default)")
+		epLen    = flag.Duration("eplen", 0, "simulated seconds per episode (0 = spec default)")
+		paper    = flag.Bool("paper", false, "use the paper's full training ranges (slower)")
+		seed     = flag.Int64("seed", 1, "random seed")
+		rig      = cliutil.AddRig(flag.CommandLine)
 	)
 	flag.Parse()
 
-	rc := exp.NewRunContext(*seed)
-	rc.Workers = *parallel
-	rc.WithDefaults()
-	flight, closeFlight, err := cliutil.OpenFlight(*flightOut, rc.Metrics)
+	rc, err := rig.Open(*seed, nil)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fatal(err)
 	}
-	// Order matters: the flight recorder precedes the anomaly tap so a
-	// detector-triggered dump already holds the event that tripped it.
-	tap := telemetry.Multi(cliutil.FlightTap(flight), cliutil.AnomalyTap(flight))
-	// The time-series collector taps the same stream whenever anything
-	// consumes it: a snapshot file or the debug server.
-	var ts *telemetry.TSCollector
-	if *tsOut != "" || *pprofAddr != "" {
-		ts = telemetry.NewTSCollector(0, 0)
-		tap = telemetry.Multi(tap, ts)
-	}
-	health, stopHealth := cliutil.StartHealth(rc.Metrics)
-	rc.Health = health
-	cliutil.StartPprof(*pprofAddr, rc.Metrics, ts)
 
 	spec := exp.QuickTrainSpec(*seed)
 	if *paper {
@@ -77,17 +54,18 @@ func main() {
 		spec.Env.RTT[0], spec.Env.RTT[1], spec.Env.LossRate[1]*100)
 
 	// One demonstration learning curve (Libra's RL component), then the
-	// full agent set for persistence.
+	// full agent set for persistence. The curve trains a quarter of the
+	// episodes, at least one: rlcc.Train reads 0 as its own default.
 	fmt.Println("-- libra-rl learning curve --")
 	start := time.Now()
 	rlcc.Train(rlcc.TrainConfig{
-		Episodes:   spec.Episodes / 4,
+		Episodes:   max(spec.Episodes/4, 1),
 		EpisodeLen: spec.EpisodeLen,
 		Env:        &spec.Env,
 		Ctrl:       rlcc.LibraRLConfig(baseCfg(*seed)),
 		Seed:       spec.Seed,
-		Tracer:     tap,
-		Health:     health,
+		Tracer:     rc.Tracer,
+		Health:     rc.Health,
 		OnEpisode: func(i int, reward float64) {
 			if (i+1)%10 == 0 || i == 0 {
 				fmt.Printf("  episode %4d  reward %8.2f\n", i+1, reward)
@@ -99,34 +77,24 @@ func main() {
 	fmt.Println("training the 4-agent set for persistence...")
 	set := exp.TrainAgentSet(spec)
 	if err := set.Save(*out); err != nil {
-		fmt.Fprintf(os.Stderr, "save: %v\n", err)
-		os.Exit(1)
+		fatal(fmt.Errorf("save: %w", err))
 	}
 	// Round-trip check: a model directory that cannot be loaded back
 	// through the validated loader is worse than no directory at all,
 	// so fail loudly now rather than at the consumer's first -models run.
 	if _, err := exp.LoadAgentSet(*out, *seed); err != nil {
-		fmt.Fprintf(os.Stderr, "saved models fail to reload: %v\n", err)
-		os.Exit(1)
+		fatal(fmt.Errorf("saved models fail to reload: %w", err))
 	}
 	fmt.Printf("saved models to %s (use: libra-bench -models %s)\n", *out, *out)
 
-	if err := closeFlight(); err != nil {
-		fmt.Fprintf(os.Stderr, "flight-out: %v\n", err)
-		os.Exit(1)
+	if err := rig.Close(); err != nil {
+		fatal(err)
 	}
-	stopHealth()
-	if ts != nil {
-		ts.ExportProm(rc.Metrics)
-	}
-	if err := cliutil.WriteTimeSeries(ts, *tsOut); err != nil {
-		fmt.Fprintf(os.Stderr, "timeseries-out: %v\n", err)
-		os.Exit(1)
-	}
-	if err := cliutil.WriteMetrics(rc.Metrics, *metricsOut, *metricsFmt); err != nil {
-		fmt.Fprintf(os.Stderr, "metrics-out: %v\n", err)
-		os.Exit(1)
-	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(1)
 }
 
 func baseCfg(seed int64) cc.Config { return cc.Config{Seed: seed} }

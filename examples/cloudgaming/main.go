@@ -22,7 +22,6 @@ func run(label string, mk func() libra.Controller) {
 		MinRTT:       30 * time.Millisecond,
 		BufferBytes:  300_000, // deep cellular buffer: bufferbloat risk
 		Seed:         3,
-		RecordSeries: true,
 		SeriesBucket: time.Second,
 	})
 	flow := net.AddFlow(mk(), 0, 0)

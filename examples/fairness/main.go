@@ -17,7 +17,6 @@ func main() {
 		MinRTT:       100 * time.Millisecond,
 		BufferBytes:  600_000, // 1 BDP
 		Seed:         2,
-		RecordSeries: true,
 		SeriesBucket: time.Second,
 	})
 

@@ -20,7 +20,6 @@ func main() {
 		MinRTT:       80 * time.Millisecond,
 		BufferBytes:  150_000,
 		Seed:         1,
-		RecordSeries: true,
 		SeriesBucket: time.Second,
 	})
 

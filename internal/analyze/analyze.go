@@ -681,15 +681,5 @@ func (a *Analyzer) Merge(b *Analyzer) {
 // should call Finalize).
 func ReadStream(r io.Reader, cfg Config) (*Analyzer, error) {
 	a := New(cfg)
-	d := telemetry.NewDecoder(r)
-	for {
-		e, err := d.Next()
-		if err == io.EOF {
-			return a, nil
-		}
-		if err != nil {
-			return a, err
-		}
-		a.Emit(&e)
-	}
+	return a, telemetry.ReadEach(r, a.Emit)
 }

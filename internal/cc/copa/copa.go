@@ -22,7 +22,8 @@ type Copa struct {
 
 	cwnd float64 // bytes
 
-	// RTTstanding: min RTT over the most recent srtt/2 window.
+	// RTTstanding: min RTT over the most recent srtt/2 window, kept as
+	// a monotonic deque (see updateStanding).
 	standWin []rttSample
 	minRTT   time.Duration
 
@@ -67,22 +68,7 @@ func (c *Copa) OnAck(a *cc.Ack) {
 	if c.minRTT == 0 || a.RTT < c.minRTT {
 		c.minRTT = a.RTT
 	}
-	// Maintain RTTstanding window (srtt/2).
-	c.standWin = append(c.standWin, rttSample{at: a.Now, rtt: a.RTT})
-	win := a.SRTT / 2
-	cut := 0
-	for cut < len(c.standWin) && a.Now-c.standWin[cut].at > win {
-		cut++
-	}
-	if cut > 0 {
-		c.standWin = c.standWin[cut:]
-	}
-	standing := a.RTT
-	for _, s := range c.standWin {
-		if s.rtt < standing {
-			standing = s.rtt
-		}
-	}
+	standing := c.updateStanding(a.Now, a.RTT, a.SRTT/2)
 
 	dq := (standing - c.minRTT).Seconds()
 	// Competitive-mode bookkeeping: remember the last time the queue was
@@ -120,6 +106,32 @@ func (c *Copa) OnAck(a *cc.Ack) {
 	} else {
 		c.cwnd = math.Max(c.cwnd-step, 2*c.mss)
 	}
+}
+
+// updateStanding folds one RTT sample into the RTTstanding window and
+// returns its minimum. standWin is a monotonic deque: samples in time
+// order with strictly increasing RTT, so its front is the minimum. A
+// sample leaves the back only when a newer one at least as small
+// arrives; the newer sample stays in the window at least as long, even
+// as the window (srtt/2) changes from ACK to ACK, so the front is the
+// exact minimum of every sample in the window.
+func (c *Copa) updateStanding(now, rtt, win time.Duration) time.Duration {
+	n := len(c.standWin)
+	for n > 0 && c.standWin[n-1].rtt >= rtt {
+		n--
+	}
+	c.standWin = append(c.standWin[:n], rttSample{at: now, rtt: rtt})
+	// Evict expired samples from the front, compacting in place so the
+	// backing array is reused.
+	cut := 0
+	for cut < len(c.standWin) && now-c.standWin[cut].at > win {
+		cut++
+	}
+	if cut > 0 {
+		n = copy(c.standWin, c.standWin[cut:])
+		c.standWin = c.standWin[:n]
+	}
+	return c.standWin[0].rtt
 }
 
 func (c *Copa) updateVelocity(a *cc.Ack, dir int) {

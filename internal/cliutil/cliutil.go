@@ -1,12 +1,16 @@
-// Package cliutil holds the observability plumbing shared by the
-// cmd/ binaries: JSONL trace sinks, metrics-snapshot export, and the
-// pprof + /metrics debug server.
+// Package cliutil holds the operator rig the run commands share
+// (libra-bench, libra-sim, libra-lab and libra-train): one set of
+// observability flags, wired once into a RunContext and flushed once.
+// The rig composes a JSONL trace sink, the flight recorder and its
+// anomaly tap, the time-series collector and the live flow dashboard,
+// and serves pprof plus /metrics.
 package cliutil
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -19,11 +23,106 @@ import (
 	"libra/internal/telemetry"
 )
 
-// OpenTracer opens a JSONL event sink at path. It returns a nil tracer
-// (and a no-op closer) when path is empty, so callers can pass the
-// result straight into configs. The closer flushes the tail and prints
-// the event count.
-func OpenTracer(path string) (telemetry.Tracer, func() error, error) {
+// Rig is the operator's observability rig. AddRig declares its flags,
+// Open wires the sinks they select into a RunContext, and Close
+// flushes them.
+type Rig struct {
+	parallel   *int
+	traceOut   *string
+	metricsOut *string
+	metricsFmt *string
+	flightOut  *string
+	pprofAddr  *string
+	httpAddr   *string
+	tsOut      *string
+
+	rc          *exp.RunContext
+	ts          *telemetry.TSCollector
+	closeTracer func() error
+	closeFlight func() error
+	stopHealth  func()
+}
+
+// AddRig registers the rig's flags on fs.
+func AddRig(fs *flag.FlagSet) *Rig {
+	return &Rig{
+		parallel:   fs.Int("parallel", 0, "sweep worker count (0 = GOMAXPROCS)"),
+		traceOut:   fs.String("trace-out", "", "write a JSONL telemetry event stream of every run to this file"),
+		metricsOut: fs.String("metrics-out", "", "write a metrics snapshot to this file after the run"),
+		metricsFmt: fs.String("metrics-format", "auto", "metrics snapshot format: auto|json|prom"),
+		flightOut:  fs.String("flight-out", "", "directory for flight-recorder dumps on detected anomalies (empty = off)"),
+		pprofAddr:  fs.String("pprof", "", "serve net/http/pprof and /metrics on this address"),
+		httpAddr:   fs.String("http", "", "serve the live flow dashboard (plus pprof and /metrics) on this address"),
+		tsOut:      fs.String("timeseries-out", "", "write the downsampled time-series snapshot (JSON) to this file after the run"),
+	}
+}
+
+// Open returns the run context for seed with the selected sinks
+// composed into its tracer, in this order: JSONL recorder, flight
+// recorder, anomaly tap, time-series collector, live dashboard. The
+// anomaly tap follows the flight recorder so a dump already holds the
+// event that tripped it. Open also starts the health sampler and the
+// debug server. topo is the topology of every scenario that carries
+// none, and the dashboard's map; nil means the single bottleneck.
+func (r *Rig) Open(seed int64, topo *exp.TopoSpec) (*exp.RunContext, error) {
+	rc := exp.NewRunContext(seed)
+	rc.Workers = *r.parallel
+	rc.Topo = topo
+	flight, closeFlight, err := OpenFlight(*r.flightOut, rc.Metrics)
+	if err != nil {
+		return nil, err
+	}
+	tracer, closeTracer, err := openTracer(*r.traceOut)
+	if err != nil {
+		return nil, err
+	}
+	sinks := []telemetry.Tracer{tracer, FlightTap(flight), AnomalyTap(flight)}
+	// The time-series collector taps the stream whenever anything
+	// consumes it: a snapshot file, the debug server or the dashboard.
+	if *r.tsOut != "" || *r.pprofAddr != "" || *r.httpAddr != "" {
+		r.ts = telemetry.NewTSCollector(0, 0)
+		sinks = append(sinks, r.ts)
+	}
+	rc.Health = telemetry.NewHealth(rc.Metrics)
+	r.stopHealth = rc.Health.Start(time.Second)
+	serve(*r.pprofAddr, debugMux(rc.Metrics, r.ts))
+	if *r.httpAddr != "" {
+		live := analyze.New(analyze.Config{})
+		serve(*r.httpAddr, dashboardMux(rc.Metrics, r.ts, topo, live))
+		sinks = append(sinks, live)
+		rc.Live = live
+		fmt.Printf("live dashboard: http://%s/\n", *r.httpAddr)
+	}
+	rc.Tracer = telemetry.Multi(sinks...)
+	r.rc, r.closeTracer, r.closeFlight = rc, closeTracer, closeFlight
+	return rc, nil
+}
+
+// Close flushes the rig in order: recorder tail, flight recorder,
+// final health sample, time-series snapshot, metrics snapshot. Every
+// step runs; the first error comes back prefixed with its flag name.
+func (r *Rig) Close() error {
+	var first error
+	keep := func(flagName string, err error) {
+		if err != nil && first == nil {
+			first = fmt.Errorf("%s: %w", flagName, err)
+		}
+	}
+	keep("trace-out", r.closeTracer())
+	keep("flight-out", r.closeFlight())
+	r.stopHealth()
+	if r.ts != nil {
+		r.ts.ExportProm(r.rc.Metrics)
+		keep("timeseries-out", writeFile(*r.tsOut, r.ts.WriteJSON))
+	}
+	keep("metrics-out", writeMetrics(r.rc.Metrics, *r.metricsOut, *r.metricsFmt))
+	return first
+}
+
+// openTracer opens a JSONL event sink at path. It returns a nil tracer
+// (and a no-op closer) when path is empty. The closer flushes the tail
+// and prints the event count.
+func openTracer(path string) (telemetry.Tracer, func() error, error) {
 	if path == "" {
 		return nil, func() error { return nil }, nil
 	}
@@ -89,18 +188,36 @@ func AnomalyTap(fl *telemetry.FlightRecorder) telemetry.Tracer {
 	})
 }
 
-// FlightFlag registers the shared -flight-out flag.
-func FlightFlag() *string {
-	return flag.String("flight-out", "",
-		"directory for flight-recorder dumps on detected anomalies (empty = off)")
+// writeFile creates path and fills it with write. Empty path is a
+// no-op.
+func writeFile(path string, write func(io.Writer) error) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
-// StartHealth attaches a runtime health sampler to reg and samples
-// once a second until the returned stop function runs (which takes a
-// final sample). The sampler is returned for RunContext.Health wiring.
-func StartHealth(reg *telemetry.Registry) (*telemetry.Health, func()) {
-	h := telemetry.NewHealth(reg)
-	return h, h.Start(time.Second)
+// writeMetrics exports a registry snapshot to path. Format "auto"
+// derives from the extension: .json → JSON, anything else → Prometheus
+// text exposition. Empty path is a no-op.
+func writeMetrics(reg *telemetry.Registry, path, format string) error {
+	write := reg.WritePrometheus
+	switch {
+	case path == "", format == "prom":
+	case format == "json", format == "auto" && strings.HasSuffix(path, ".json"):
+		write = reg.WriteJSON
+	case format != "auto":
+		return fmt.Errorf("unknown metrics format %q (want auto, json or prom)", format)
+	}
+	return writeFile(path, write)
 }
 
 // healthHandler serves the libra_health_* gauges as a flat JSON object
@@ -120,32 +237,6 @@ func healthHandler(reg *telemetry.Registry) http.Handler {
 	})
 }
 
-// WriteMetrics exports a registry snapshot to path. Format "auto"
-// derives from the extension: .json → JSON, anything else → Prometheus
-// text exposition. Empty path is a no-op.
-func WriteMetrics(reg *telemetry.Registry, path, format string) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	switch format {
-	case "json":
-		return reg.WriteJSON(f)
-	case "prom":
-		return reg.WritePrometheus(f)
-	case "auto":
-		if strings.HasSuffix(path, ".json") {
-			return reg.WriteJSON(f)
-		}
-		return reg.WritePrometheus(f)
-	}
-	return fmt.Errorf("unknown metrics format %q (want auto, json or prom)", format)
-}
-
 // getOnly rejects everything but GET/HEAD with 405 so the read-only
 // JSON endpoints can't be POSTed to by accident.
 func getOnly(h http.Handler) http.Handler {
@@ -159,7 +250,7 @@ func getOnly(h http.Handler) http.Handler {
 	})
 }
 
-// DebugMux returns a dedicated mux wired with the pprof handlers and,
+// debugMux returns a dedicated mux wired with the pprof handlers and,
 // when reg is non-nil, the registry at /metrics. A non-nil ts adds
 // /timeseries (the full downsampled-series snapshot as JSON) and
 // refreshes the libra_ts_* gauges into reg on every /metrics scrape,
@@ -167,9 +258,8 @@ func getOnly(h http.Handler) http.Handler {
 // rather than inherited from http.DefaultServeMux, so importing this
 // package never leaks debug handlers into an application's default
 // mux (and nothing another package hangs on the default mux leaks
-// into the debug server). Callers may add their own routes — the live
-// flow dashboard does — before passing the mux to Serve.
-func DebugMux(reg *telemetry.Registry, ts *telemetry.TSCollector) *http.ServeMux {
+// into the debug server).
+func debugMux(reg *telemetry.Registry, ts *telemetry.TSCollector) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -200,44 +290,58 @@ func DebugMux(reg *telemetry.Registry, ts *telemetry.TSCollector) *http.ServeMux
 	return mux
 }
 
-// TopoLinkView is one /topo link: the spec's geometry joined with the
+// dashboardMux is the live flow dashboard: /flows JSON snapshots of
+// the analyzer live and a polling HTML view at /, on top of the debug
+// mux. A non-nil ts additionally serves /timeseries and /topo, and the
+// HTML view renders the topology weathermap from the latter (topo may
+// be nil: single-bottleneck runs get a synthetic two-node view).
+func dashboardMux(reg *telemetry.Registry, ts *telemetry.TSCollector, topo *exp.TopoSpec, live *analyze.Analyzer) *http.ServeMux {
+	mux := debugMux(reg, ts)
+	analyze.ServeLive(mux, live)
+	if ts != nil {
+		mux.Handle("/topo", getOnly(topoHandler(ts, topo)))
+	}
+	return mux
+}
+
+// topoLinkView is one /topo link: the spec's geometry joined with the
 // collector's live stats (zero-valued until traffic reaches the link).
-type TopoLinkView struct {
+type topoLinkView struct {
 	From string `json:"from,omitempty"`
 	To   string `json:"to,omitempty"`
 	telemetry.LinkLive
 }
 
-// TopoView is the /topo JSON body the dashboard weathermap renders.
-type TopoView struct {
+// topoView is the /topo JSON body the dashboard weathermap renders.
+type topoView struct {
 	Name  string         `json:"name,omitempty"`
 	Nodes []string       `json:"nodes"`
-	Links []TopoLinkView `json:"links"`
+	Links []topoLinkView `json:"links"`
 }
 
-// BuildTopoView joins a topology spec with the collector's live link
+// buildTopoView joins a topology spec with the collector's live link
 // stats. A nil topo synthesises the two-node single-bottleneck shape
 // so runs without -topo still get a (one-link) weathermap.
-func BuildTopoView(ts *telemetry.TSCollector, topo *exp.TopoSpec) TopoView {
+func buildTopoView(ts *telemetry.TSCollector, topo *exp.TopoSpec) topoView {
 	live := map[string]telemetry.LinkLive{}
 	for _, ll := range ts.LinksLive() {
 		live[ll.Label] = ll
 	}
 	if topo == nil {
-		v := TopoView{Nodes: []string{"src", "dst"}}
+		v := topoView{Nodes: []string{"src", "dst"}}
 		labels := make([]string, 0, len(live))
 		for label := range live {
 			labels = append(labels, label)
 		}
 		sort.Strings(labels)
 		for _, label := range labels {
-			v.Links = append(v.Links, TopoLinkView{From: "src", To: "dst", LinkLive: live[label]})
+			v.Links = append(v.Links, topoLinkView{From: "src", To: "dst", LinkLive: live[label]})
 		}
 		return v
 	}
-	v := TopoView{Name: topo.Name, Nodes: topo.Nodes}
+	v := topoView{Name: topo.Name, Nodes: topo.Nodes}
 	for _, l := range topo.Links {
-		lv := TopoLinkView{From: l.From, To: l.To}
+		lv := topoLinkView{From: l.From, To: l.To}
 		if ll, ok := live[l.Label]; ok {
 			lv.LinkLive = ll
 		} else {
@@ -256,13 +360,13 @@ func topoHandler(ts *telemetry.TSCollector, topo *exp.TopoSpec) http.Handler {
 		w.Header().Set("Cache-Control", "no-store")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(BuildTopoView(ts, topo))
+		_ = enc.Encode(buildTopoView(ts, topo))
 	})
 }
 
-// Serve serves mux on addr in the background for the life of the
+// serve serves mux on addr in the background for the life of the
 // process. Empty addr is a no-op.
-func Serve(addr string, mux *http.ServeMux) {
+func serve(addr string, mux *http.ServeMux) {
 	if addr == "" {
 		return
 	}
@@ -271,60 +375,4 @@ func Serve(addr string, mux *http.ServeMux) {
 			fmt.Fprintf(os.Stderr, "debug server: %v\n", err)
 		}
 	}()
-}
-
-// StartPprof serves net/http/pprof plus reg at /metrics (and, with a
-// collector, /timeseries) on addr in the background. Empty addr is a
-// no-op.
-func StartPprof(addr string, reg *telemetry.Registry, ts *telemetry.TSCollector) {
-	Serve(addr, DebugMux(reg, ts))
-}
-
-// StartDashboard serves the live flow dashboard — /flows JSON
-// snapshots and a polling HTML view at / — plus pprof and /metrics on
-// addr, and returns the analyzer the caller must tap into the run's
-// event stream (telemetry.Multi with any file recorder) and register
-// flow names on (RunContext.Live). A non-nil ts additionally serves
-// /timeseries and /topo, and the HTML view renders the topology
-// weathermap from the latter (topo may be nil: single-bottleneck runs
-// get a synthetic two-node view). Nil when addr is empty.
-func StartDashboard(addr string, reg *telemetry.Registry, ts *telemetry.TSCollector, topo *exp.TopoSpec) *analyze.Analyzer {
-	if addr == "" {
-		return nil
-	}
-	a := analyze.New(analyze.Config{})
-	mux := DebugMux(reg, ts)
-	analyze.ServeLive(mux, a)
-	if ts != nil {
-		mux.Handle("/topo", getOnly(topoHandler(ts, topo)))
-	}
-	Serve(addr, mux)
-	return a
-}
-
-// TimeSeriesFlag registers the shared -timeseries-out flag.
-func TimeSeriesFlag() *string {
-	return flag.String("timeseries-out", "",
-		"write the downsampled time-series snapshot (JSON) to this file after the run")
-}
-
-// WriteTimeSeries writes ts's snapshot JSON to path. Either a nil
-// collector or an empty path is a no-op, so callers can wire it
-// unconditionally.
-func WriteTimeSeries(ts *telemetry.TSCollector, path string) error {
-	if ts == nil || path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return ts.WriteJSON(f)
-}
-
-// ParallelFlag registers the shared -parallel flag: the worker count
-// for sweep-based execution. 0 (the default) means GOMAXPROCS.
-func ParallelFlag() *int {
-	return flag.Int("parallel", 0, "sweep worker count (0 = GOMAXPROCS)")
 }

@@ -12,7 +12,7 @@ import (
 	"libra/internal/telemetry"
 )
 
-// dashMux assembles the same mux StartDashboard serves, minus the
+// dashMux builds the dashboard the -http flag serves, minus the
 // listener, fed with a tiny deterministic event stream so every
 // endpoint has data.
 func dashMux(t *testing.T) *http.ServeMux {
@@ -35,10 +35,7 @@ func dashMux(t *testing.T) *http.ServeMux {
 	if !ok {
 		t.Fatal("parking-lot preset missing")
 	}
-	mux := DebugMux(reg, ts)
-	analyze.ServeLive(mux, a)
-	mux.Handle("/topo", getOnly(topoHandler(ts, topo)))
-	return mux
+	return dashboardMux(reg, ts, topo, a)
 }
 
 // TestEndpointShapes pins the JSON shape of every dashboard API: the
@@ -158,8 +155,7 @@ func TestEndpointErrors(t *testing.T) {
 	// Without a collector, /timeseries and /topo are absent (404 from
 	// the dashboard catch-all), signalling the page to hide the map.
 	reg := telemetry.NewRegistry()
-	bare := DebugMux(reg, nil)
-	analyze.ServeLive(bare, analyze.New(analyze.Config{}))
+	bare := dashboardMux(reg, nil, nil, analyze.New(analyze.Config{}))
 	for _, path := range []string{"/timeseries", "/topo"} {
 		w := httptest.NewRecorder()
 		bare.ServeHTTP(w, httptest.NewRequest("GET", path, nil))

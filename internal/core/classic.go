@@ -9,7 +9,6 @@ import (
 
 	"libra/internal/cc"
 	"libra/internal/cc/bbr"
-	"libra/internal/cc/cubic"
 )
 
 // Classic adapts a classic CCA for integration into Libra's control
@@ -29,62 +28,18 @@ type Classic interface {
 	StageRTTs() (explore, exploit int)
 }
 
-// CubicAdapter integrates CUBIC: a window-based scheme whose rate is
-// cwnd/srtt. The exploration stage is one RTT.
-type CubicAdapter struct {
-	*cubic.Cubic
-	srtt time.Duration
-}
-
-// NewCubicAdapter wraps a fresh CUBIC instance.
-func NewCubicAdapter(cfg cc.Config) *CubicAdapter {
-	return &CubicAdapter{Cubic: cubic.New(cfg)}
-}
-
-// OnAck tracks the smoothed RTT alongside CUBIC's own processing.
-func (a *CubicAdapter) OnAck(ack *cc.Ack) {
-	a.srtt = ack.SRTT
-	a.Cubic.OnAck(ack)
-}
-
-// SeedRate implements Classic: cwnd = rate * srtt, resuming growth from
-// the cubic plateau. Libra skips the call entirely when the classic
-// candidate won the cycle, so CUBIC's epoch clock keeps advancing and
-// probing accelerates naturally — the "almost no modifications"
-// integration of Sec. 4.3.
-func (a *CubicAdapter) SeedRate(rate float64, srtt, _ time.Duration) {
-	if srtt <= 0 {
-		srtt = 100 * time.Millisecond
-	}
-	a.Cubic.SetWindow(rate * srtt.Seconds())
-}
-
-// CurrentRate implements Classic: cwnd / srtt.
-func (a *CubicAdapter) CurrentRate(srtt time.Duration) float64 {
-	if srtt <= 0 {
-		srtt = a.srtt
-	}
-	if srtt <= 0 {
-		srtt = 100 * time.Millisecond
-	}
-	return a.Cubic.Window() / srtt.Seconds()
-}
-
-// StageRTTs implements Classic: one RTT each (Sec. 5 setup).
-func (a *CubicAdapter) StageRTTs() (int, int) { return 1, 1 }
-
 // WindowSetter is any window-based classic CCA that allows its
-// congestion window to be overridden (Westwood, Illinois, ...).
+// congestion window to be overridden (CUBIC, Westwood, Illinois, ...).
 type WindowSetter interface {
 	cc.Controller
 	SetWindow(bytes float64)
 }
 
-// WindowAdapter integrates an arbitrary window-based classic CCA into
-// Libra: cwnd/srtt is the rate decision and seeding sets cwnd directly.
-// This realises the paper's Sec. 7 claim that the CUBIC parameter
-// settings "can be extended to a wide range of classic CCAs (e.g.,
-// Westwood, Illinois)".
+// WindowAdapter integrates a window-based classic CCA into Libra:
+// cwnd/srtt is the rate decision and seeding sets cwnd directly. Over
+// CUBIC it is C-Libra's classic; over Westwood or Illinois it realises
+// the paper's Sec. 7 claim that the CUBIC parameter settings "can be
+// extended to a wide range of classic CCAs (e.g., Westwood, Illinois)".
 type WindowAdapter struct {
 	WindowSetter
 	srtt time.Duration
@@ -101,7 +56,11 @@ func (a *WindowAdapter) OnAck(ack *cc.Ack) {
 	a.WindowSetter.OnAck(ack)
 }
 
-// SeedRate implements Classic.
+// SeedRate implements Classic: cwnd = rate * srtt, resuming growth from
+// the algorithm's own state. Libra skips the call entirely when the
+// classic candidate won the cycle, so CUBIC's epoch clock keeps
+// advancing and probing accelerates naturally — the "almost no
+// modifications" integration of Sec. 4.3.
 func (a *WindowAdapter) SeedRate(rate float64, srtt, _ time.Duration) {
 	if srtt <= 0 {
 		srtt = 100 * time.Millisecond

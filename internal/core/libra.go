@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"libra/internal/cc"
+	"libra/internal/cc/cubic"
 	"libra/internal/cc/dctcp"
 	"libra/internal/cc/illinois"
 	"libra/internal/cc/westwood"
@@ -110,7 +111,7 @@ type Config struct {
 func (c Config) WithDefaults() Config {
 	c.CC = c.CC.WithDefaults()
 	if c.Classic == nil && !c.NoClassic {
-		c.Classic = NewCubicAdapter(c.CC)
+		c.Classic = NewWindowAdapter(cubic.New(c.CC))
 	}
 	if c.RL == nil {
 		c.RL = rlcc.New("libra-rl", rlcc.LibraRLConfig(c.CC))
@@ -261,7 +262,7 @@ func (l *Libra) SetTracer(t telemetry.Tracer, id int) {
 
 func init() {
 	cc.Register("c-libra", func(base cc.Config) cc.Controller {
-		return New(Config{CC: base, Classic: NewCubicAdapter(base), Name: "c-libra"})
+		return New(Config{CC: base, Classic: NewWindowAdapter(cubic.New(base)), Name: "c-libra"})
 	})
 	cc.Register("b-libra", func(base cc.Config) cc.Controller {
 		return New(Config{CC: base, Classic: NewBBRAdapter(base), Name: "b-libra"})

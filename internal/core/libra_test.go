@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"libra/internal/cc"
+	"libra/internal/cc/cubic"
 	"libra/internal/cc/westwood"
 	"libra/internal/cctest"
 	"libra/internal/trace"
@@ -213,7 +214,7 @@ func TestStochasticLossResilience(t *testing.T) {
 		Loss:     0.02,
 		Duration: 40 * time.Second,
 		Seed:     3,
-	}, NewCubicAdapter(cc.Config{Seed: 8}.WithDefaults()))
+	}, NewWindowAdapter(cubic.New(cc.Config{Seed: 8}.WithDefaults())))
 	if libra.Utilization <= cub.Utilization {
 		t.Fatalf("C-Libra (%.3f) should beat CUBIC (%.3f) under stochastic loss",
 			libra.Utilization, cub.Utilization)
@@ -279,7 +280,7 @@ func TestInterProtocolFairnessAvoidsStarvingCubic(t *testing.T) {
 		MinRTT:   40 * time.Millisecond,
 		Buffer:   240000,
 		Duration: 60 * time.Second,
-	}, New(Config{CC: cc.Config{Seed: 12}}), NewCubicAdapter(cc.Config{Seed: 13}.WithDefaults()), 0)
+	}, New(Config{CC: cc.Config{Seed: 12}}), NewWindowAdapter(cubic.New(cc.Config{Seed: 13}.WithDefaults())), 0)
 	share := b.Throughput / (a.Throughput + b.Throughput)
 	if share < 0.2 {
 		t.Fatalf("CUBIC starved: share %.2f", share)

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"libra/internal/cc"
+	"libra/internal/cc/cubic"
 	"libra/internal/cc/illinois"
 	"libra/internal/cc/westwood"
 	"libra/internal/core"
@@ -43,7 +44,7 @@ func libraVariant(ag *AgentSet, mutate func(*core.Config)) Maker {
 		}
 		cfg := core.Config{
 			CC:      base,
-			Classic: core.NewCubicAdapter(base),
+			Classic: core.NewWindowAdapter(cubic.New(base)),
 			RL:      rlcc.New("libra-rl", rlCfg),
 			Name:    "c-libra",
 		}

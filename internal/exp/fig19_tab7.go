@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"libra/internal/cc"
+	"libra/internal/cc/cubic"
 	"libra/internal/core"
 	"libra/internal/rlcc"
 )
@@ -34,7 +35,7 @@ func libraWithParams(ag *AgentSet, exploreRTTs, exploitRTTs int, eiRTTs, th floa
 		}
 		return core.New(core.Config{
 			CC:            base,
-			Classic:       core.NewCubicAdapter(base),
+			Classic:       core.NewWindowAdapter(cubic.New(base)),
 			RL:            rlcc.New("libra-rl", rlCfg),
 			ExploreRTTs:   exploreRTTs,
 			ExploitRTTs:   exploitRTTs,

@@ -213,7 +213,7 @@ func MakerFor(name string, ag *AgentSet, util utility.Func) (Maker, error) {
 		}, nil
 	case "c-libra":
 		return func(seed int64) cc.Controller {
-			return libra(seed, func(b cc.Config) core.Classic { return core.NewCubicAdapter(b) }, false, "c-libra")
+			return libra(seed, func(b cc.Config) core.Classic { return core.NewWindowAdapter(cubic.New(b)) }, false, "c-libra")
 		}, nil
 	case "b-libra":
 		return func(seed int64) cc.Controller {
@@ -353,7 +353,6 @@ func (rc *RunContext) run(s Scenario, mks []Maker, starts []time.Duration, bucke
 			Seed:         rc.Seed,
 			Tracer:       rc.Tracer,
 			Health:       rc.Health,
-			RecordSeries: bucket > 0,
 			SeriesBucket: bucket,
 			ExtraFaults:  plan,
 		})
@@ -377,7 +376,6 @@ func (rc *RunContext) run(s Scenario, mks []Maker, starts []time.Duration, bucke
 			LossRate:     s.Loss,
 			Faults:       inj,
 			Seed:         rc.Seed,
-			RecordSeries: bucket > 0,
 			SeriesBucket: bucket,
 			Tracer:       rc.Tracer,
 			Health:       rc.Health,

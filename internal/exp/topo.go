@@ -265,11 +265,10 @@ func (ts *TopoSpec) MainBottleneck() int {
 
 // TopoBuild carries the runtime wiring Build needs beyond the spec.
 type TopoBuild struct {
-	Seed         int64
-	MSS          int
-	Tracer       telemetry.Tracer
-	Health       *telemetry.Health
-	RecordSeries bool
+	Seed   int64
+	Tracer telemetry.Tracer
+	Health *telemetry.Health
+	// SeriesBucket, when positive, records per-flow time series.
 	SeriesBucket time.Duration
 	// ExtraFaults, when non-empty, lands on the main route's bottleneck
 	// hop — unless that link already carries its own plan. This is how
@@ -322,9 +321,7 @@ func (ts *TopoSpec) Build(b TopoBuild) (*netem.Topology, map[string]*netem.Route
 	tp, err := netem.NewTopology(netem.TopologyConfig{
 		Nodes:        ts.Nodes,
 		Links:        specs,
-		MSS:          b.MSS,
 		Seed:         b.Seed,
-		RecordSeries: b.RecordSeries,
 		SeriesBucket: b.SeriesBucket,
 		Tracer:       b.Tracer,
 		Health:       b.Health,

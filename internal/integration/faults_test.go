@@ -38,7 +38,6 @@ func TestBlackoutThenRecovery(t *testing.T) {
 		BufferBytes:  100_000,
 		Seed:         11,
 		Faults:       inj,
-		RecordSeries: true,
 		SeriesBucket: time.Second,
 	})
 	f := n.AddFlow(lb, 0, 0)

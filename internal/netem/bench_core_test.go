@@ -27,7 +27,7 @@ func benchNet(seed int64) *Network {
 
 // packets processed by the bottleneck: delivered plus dropped.
 func (n *Network) benchPackets() int64 {
-	return n.link.DeliveredBytes()/int64(n.cfg.MSS) + n.link.DropStats().Total()
+	return n.link.DeliveredBytes()/int64(cc.DefaultMSS) + n.link.DropStats().Total()
 }
 
 // BenchmarkNetemPacketsPerSec reports the end-to-end emulation rate; one

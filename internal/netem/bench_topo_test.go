@@ -44,7 +44,7 @@ func benchTopo(seed int64) (*Topology, *Route) {
 func (tp *Topology) benchPackets() int64 {
 	var total int64
 	for _, l := range tp.Links() {
-		total += l.DeliveredBytes()/int64(tp.tcfg.MSS) + l.DropStats().Total()
+		total += l.DeliveredBytes()/int64(cc.DefaultMSS) + l.DropStats().Total()
 	}
 	return total
 }

@@ -100,43 +100,30 @@ func (l *Link) emitDrop(p *Packet, reason string) {
 	l.tracer.Emit(&l.evBuf)
 }
 
-// LinkConfig parameterises a Link.
-type LinkConfig struct {
-	Capacity    trace.Trace
-	PropDelay   time.Duration // one-way, applied after serialization
-	BufferBytes int
-	LossRate    float64 // iid drop probability at ingress
-	// ECNThreshold, when positive, CE-marks packets that arrive while
-	// the queue holds more than this many bytes.
-	ECNThreshold int
-	// CoDel, when non-nil, applies Controlled-Delay AQM at dequeue.
-	CoDel *CoDel
-	// Faults, when non-nil, is consulted at ingress (drop/duplicate/
-	// extra delay) and at service time (capacity scaling).
-	Faults FaultInjector
-	Seed   int64
-	// Label is the link's telemetry identity (see Link).
-	Label string
-}
-
-// newLink wires a link into the engine. sink receives packets after
-// serialization + propagation; drop is informed of every dropped packet;
-// dup clones a packet for fault-injected duplication.
-func newLink(eng *sim.Engine, cfg LinkConfig, sink func(*Packet), drop func(*Packet, bool), dup func(*Packet) *Packet) *Link {
+// newLink wires the link spec into the engine; seed drives its
+// stochastic loss. sink receives packets after serialization +
+// propagation; drop is informed of every dropped packet; dup clones a
+// packet for fault-injected duplication.
+func newLink(eng *sim.Engine, spec LinkSpec, seed int64, sink func(*Packet), drop func(*Packet, bool), dup func(*Packet) *Packet) *Link {
 	l := &Link{
 		eng:    eng,
-		label:  cfg.Label,
-		cap:    cfg.Capacity,
-		prop:   cfg.PropDelay,
-		buf:    cfg.BufferBytes,
-		ecn:    cfg.ECNThreshold,
-		codel:  cfg.CoDel,
-		loss:   cfg.LossRate,
-		faults: cfg.Faults,
-		rng:    rand.New(rand.NewSource(cfg.Seed ^ 0x5f3759df)),
+		label:  spec.Label,
+		cap:    spec.Capacity,
+		prop:   spec.PropDelay,
+		buf:    spec.BufferBytes,
+		ecn:    spec.ECNThreshold,
+		loss:   spec.LossRate,
+		faults: spec.Faults,
+		rng:    rand.New(rand.NewSource(seed ^ 0x5f3759df)),
 		sink:   sink,
 		drop:   drop,
 		dup:    dup,
+	}
+	if l.buf <= 0 {
+		l.buf = 150 * 1000
+	}
+	if spec.CoDel {
+		l.codel = NewCoDel()
 	}
 	l.sinkCb = func(arg any) { l.sink(arg.(*Packet)) }
 	return l

@@ -151,7 +151,6 @@ func TestStepTraceChangesDeliveryRate(t *testing.T) {
 		MinRTT:       40 * time.Millisecond,
 		BufferBytes:  60000,
 		Seed:         1,
-		RecordSeries: true,
 		SeriesBucket: time.Second,
 	})
 	f := n.AddFlow(cc.FixedRate{R: mbps(20)}, 0, 0)

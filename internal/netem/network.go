@@ -32,22 +32,15 @@ type Config struct {
 	// duplication, delay jitter, and capacity flaps. The injector is
 	// bound to the network's engine and tracer at construction.
 	Faults FaultInjector
-	// MSS is the packet size (default 1500).
-	MSS int
 	// Seed drives all stochastic behaviour.
 	Seed int64
-	// RecordSeries enables per-flow throughput/delay time series with
-	// the given bucket (default 100 ms when RecordSeries is set but
-	// SeriesBucket is zero).
-	RecordSeries bool
+	// SeriesBucket, when positive, records per-flow throughput/delay
+	// time series with this bucket width.
 	SeriesBucket time.Duration
 	// Tracer, when enabled, receives bottleneck telemetry: per-packet
-	// enqueue/drop events (drops tagged tail/channel/aqm) and periodic
-	// queue-occupancy samples.
+	// enqueue/drop events (drops tagged tail/channel/aqm) and queue
+	// occupancy every 100 ms.
 	Tracer telemetry.Tracer
-	// QueueSampleInterval is the spacing of queue-occupancy samples
-	// (default 100 ms; only used when Tracer is enabled).
-	QueueSampleInterval time.Duration
 	// Health, when set, has the network's engine registered for runtime
 	// health sampling for the lifetime of Run.
 	Health *telemetry.Health
@@ -61,7 +54,6 @@ type Config struct {
 // pre-topology emulator.
 type Network struct {
 	*Topology
-	cfg   Config
 	link  *Link
 	route *Route
 }
@@ -69,12 +61,6 @@ type Network struct {
 // New builds a single-bottleneck network. The engine is created
 // internally and owned by the underlying topology.
 func New(cfg Config) *Network {
-	if cfg.MSS == 0 {
-		cfg.MSS = cc.DefaultMSS
-	}
-	if cfg.BufferBytes <= 0 {
-		cfg.BufferBytes = 150 * 1000
-	}
 	tp, err := newTopology(TopologyConfig{
 		Nodes: []string{"src", "dst"},
 		Links: []LinkSpec{{
@@ -88,13 +74,10 @@ func New(cfg Config) *Network {
 			CoDel:        cfg.CoDel,
 			Faults:       cfg.Faults,
 		}},
-		MSS:                 cfg.MSS,
-		Seed:                cfg.Seed,
-		RecordSeries:        cfg.RecordSeries,
-		SeriesBucket:        cfg.SeriesBucket,
-		Tracer:              cfg.Tracer,
-		QueueSampleInterval: cfg.QueueSampleInterval,
-		Health:              cfg.Health,
+		Seed:         cfg.Seed,
+		SeriesBucket: cfg.SeriesBucket,
+		Tracer:       cfg.Tracer,
+		Health:       cfg.Health,
 	})
 	if err != nil {
 		panic("netem: degenerate topology rejected: " + err.Error()) // unreachable: spec is built here
@@ -103,14 +86,11 @@ func New(cfg Config) *Network {
 	if err != nil {
 		panic("netem: degenerate route rejected: " + err.Error()) // unreachable
 	}
-	return &Network{Topology: tp, cfg: cfg, link: tp.links[0], route: route}
+	return &Network{Topology: tp, link: tp.links[0], route: route}
 }
 
 // Link exposes the bottleneck for queue statistics.
 func (n *Network) Link() *Link { return n.link }
-
-// Config returns the network configuration.
-func (n *Network) Config() Config { return n.cfg }
 
 // AddFlow attaches a sender driven by ctrl to the bottleneck path,
 // active on [start, stop). A zero stop means "until the end of the
@@ -122,9 +102,5 @@ func (n *Network) AddFlow(ctrl cc.Controller, start, stop time.Duration) *Flow {
 // Utilization returns delivered bytes at the bottleneck divided by the
 // link's mean capacity over [0, d].
 func (n *Network) Utilization(d time.Duration) float64 {
-	mean := trace.MeanRate(n.cfg.Capacity, d, 10*time.Millisecond)
-	if mean <= 0 || d <= 0 {
-		return 0
-	}
-	return float64(n.link.DeliveredBytes()) / (mean * d.Seconds())
+	return n.LinkUtilization(n.link, d)
 }

@@ -49,20 +49,14 @@ type TopologyConfig struct {
 	// stochastic streams sub-derive from Seed by link index, so adding a
 	// link never perturbs the streams of the links before it.
 	Links []LinkSpec
-	// MSS is the packet size (default 1500).
-	MSS int
 	// Seed drives all stochastic behaviour.
 	Seed int64
-	// RecordSeries enables per-flow throughput/delay time series with
-	// the given bucket (default 100 ms when unset).
-	RecordSeries bool
+	// SeriesBucket, when positive, records per-flow throughput/delay
+	// time series with this bucket width.
 	SeriesBucket time.Duration
-	// Tracer receives per-link telemetry: enqueue/drop events and
-	// periodic queue-occupancy samples, each labelled with the link.
+	// Tracer receives per-link telemetry: enqueue/drop events and queue
+	// occupancy every 100 ms, each labelled with the link.
 	Tracer telemetry.Tracer
-	// QueueSampleInterval is the spacing of queue-occupancy samples
-	// (default 100 ms; only used when Tracer is enabled).
-	QueueSampleInterval time.Duration
 	// Health, when set, has the topology's engine registered for
 	// runtime health sampling for the lifetime of Run.
 	Health *telemetry.Health
@@ -104,11 +98,13 @@ type Topology struct {
 
 	qEvBuf telemetry.Event // reused queue-sample event buffer
 
-	// Queue-sampler state; the sampler re-arms itself through the
-	// engine's pooled callback path.
+	// sampleTracer receives the queue samples; the sampler re-arms
+	// itself through the engine's pooled callback path.
 	sampleTracer telemetry.Tracer
-	sampleEvery  time.Duration
 }
+
+// queueSampleEvery is the spacing of queue-occupancy samples.
+const queueSampleEvery = 100 * time.Millisecond
 
 // linkSeedStride separates per-link stochastic streams; link 0 keeps
 // the topology seed itself so the degenerate single-link case draws
@@ -133,9 +129,6 @@ func NewTopology(cfg TopologyConfig) (*Topology, error) {
 // newTopology is the shared constructor; the Network wrapper reaches it
 // directly so its single link may stay unlabelled.
 func newTopology(cfg TopologyConfig) (*Topology, error) {
-	if cfg.MSS == 0 {
-		cfg.MSS = cc.DefaultMSS
-	}
 	if len(cfg.Links) == 0 {
 		return nil, fmt.Errorf("netem: topology has no links")
 	}
@@ -168,14 +161,6 @@ func newTopology(cfg TopologyConfig) (*Topology, error) {
 				return nil, fmt.Errorf("netem: duplicate link label %q", ls.Label)
 			}
 		}
-		buf := ls.BufferBytes
-		if buf <= 0 {
-			buf = 150 * 1000
-		}
-		var cd *CoDel
-		if ls.CoDel {
-			cd = NewCoDel()
-		}
 		if ls.Faults != nil {
 			t := tracer
 			if !telemetry.Enabled(t) {
@@ -185,17 +170,7 @@ func newTopology(cfg TopologyConfig) (*Topology, error) {
 			}
 			ls.Faults.Bind(tp.Eng, t)
 		}
-		l := newLink(tp.Eng, LinkConfig{
-			CoDel:        cd,
-			Capacity:     ls.Capacity,
-			PropDelay:    ls.PropDelay,
-			BufferBytes:  buf,
-			LossRate:     ls.LossRate,
-			ECNThreshold: ls.ECNThreshold,
-			Faults:       ls.Faults,
-			Seed:         cfg.Seed + int64(i)*linkSeedStride,
-			Label:        ls.Label,
-		}, tp.forward, tp.dropped, tp.clonePacket)
+		l := newLink(tp.Eng, ls, cfg.Seed+int64(i)*linkSeedStride, tp.forward, tp.dropped, tp.clonePacket)
 		if traceOn {
 			l.SetTracer(tracer)
 		}
@@ -204,10 +179,6 @@ func newTopology(cfg TopologyConfig) (*Topology, error) {
 	}
 	if traceOn {
 		tp.sampleTracer = tracer
-		tp.sampleEvery = cfg.QueueSampleInterval
-		if tp.sampleEvery <= 0 {
-			tp.sampleEvery = 100 * time.Millisecond
-		}
 		tp.sampleQueues()
 	}
 	return tp, nil
@@ -309,7 +280,7 @@ func (tp *Topology) sampleQueues() {
 			Link: l.label, Queue: int64(l.QueuedBytes()), Rate: rate}
 		tp.sampleTracer.Emit(&tp.qEvBuf)
 	}
-	tp.Eng.AfterCall(tp.sampleEvery, topoSampleCb, tp)
+	tp.Eng.AfterCall(queueSampleEvery, topoSampleCb, tp)
 }
 
 // AddFlowOn attaches a sender driven by ctrl to the route, active on
@@ -320,15 +291,11 @@ func (tp *Topology) AddFlowOn(r *Route, ctrl cc.Controller, start, stop time.Dur
 		topo:    tp,
 		route:   r,
 		ctrl:    ctrl,
-		mss:     tp.tcfg.MSS,
+		mss:     cc.DefaultMSS,
 		startAt: start,
 		stopAt:  stop,
 	}
-	if tp.tcfg.RecordSeries {
-		b := tp.tcfg.SeriesBucket
-		if b <= 0 {
-			b = 100 * time.Millisecond
-		}
+	if b := tp.tcfg.SeriesBucket; b > 0 {
 		f.Stats.Throughput = NewSeries(b)
 		f.Stats.Delay = NewSeries(b)
 	}

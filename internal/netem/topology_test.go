@@ -256,7 +256,7 @@ func TestECNCoDelSameLink(t *testing.T) {
 	// Marking happens at enqueue, so with the same arrival process the
 	// combined link cannot mark fewer packets than CoDel later drops
 	// lets through — the counters are independent, not exclusive.
-	delivered := both.Link().DeliveredBytes() / int64(both.Config().MSS)
+	delivered := both.Link().DeliveredBytes() / int64(cc.DefaultMSS)
 	if ds.Marked <= ds.AQM {
 		// With a 30 KB threshold under a CoDel-bounded queue the
 		// standing queue hovers around the target; both counters must

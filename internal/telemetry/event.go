@@ -332,18 +332,26 @@ func (d *Decoder) Next() (Event, error) {
 	return Event{}, io.EOF
 }
 
-// ReadAll decodes every event in r.
-func ReadAll(r io.Reader) ([]Event, error) {
+// ReadEach decodes every event in r and hands each to emit in stream
+// order, stopping at the first decode error. It is how a recorded
+// stream replays into any sink.
+func ReadEach(r io.Reader, emit func(*Event)) error {
 	d := NewDecoder(r)
-	var out []Event
 	for {
 		e, err := d.Next()
 		if err == io.EOF {
-			return out, nil
+			return nil
 		}
 		if err != nil {
-			return out, err
+			return err
 		}
-		out = append(out, e)
+		emit(&e)
 	}
+}
+
+// ReadAll decodes every event in r.
+func ReadAll(r io.Reader) ([]Event, error) {
+	var out []Event
+	err := ReadEach(r, func(e *Event) { out = append(out, *e) })
+	return out, err
 }

@@ -400,16 +400,8 @@ func (c *countWriter) Write(p []byte) (int, error) {
 // and write the Chrome trace JSON.
 func Convert(r io.Reader, w io.Writer) error {
 	b := NewBuilder()
-	d := telemetry.NewDecoder(r)
-	for {
-		e, err := d.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		b.Add(&e)
+	if err := telemetry.ReadEach(r, b.Add); err != nil {
+		return err
 	}
 	b.Finish()
 	_, err := b.WriteTo(w)

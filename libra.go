@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"libra/internal/cc"
+	"libra/internal/cc/cubic"
 	"libra/internal/core"
 	"libra/internal/exp"
 	"libra/internal/netem"
@@ -56,7 +57,7 @@ type Option func(*core.Config)
 // WithCubic selects CUBIC as the classic component (C-Libra, default).
 func WithCubic() Option {
 	return func(c *core.Config) {
-		c.Classic = core.NewCubicAdapter(c.CC)
+		c.Classic = core.NewWindowAdapter(cubic.New(c.CC))
 		c.Name = "c-libra"
 	}
 }

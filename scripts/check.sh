@@ -1,7 +1,7 @@
 #!/bin/sh
-# Full pre-merge gate: vet, build, race-detector test sweep, and the
-# no-op tracer overhead budget (<2 ns/op, 0 allocs/op). Equivalent to
-# `make check` for environments without make.
+# Full pre-merge gate, the one definition `make check` runs: gofmt, vet,
+# build, race-detector test sweep, fuzz passes, hot-path budget guards
+# and the CLI smokes.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -54,6 +54,13 @@ tmp=$(mktemp -d)
 go run ./cmd/libra-sim -cca c-libra,c-libra -capacity 24 -dur 5s -seed 7 -trace-out "$tmp/events.jsonl" >/dev/null
 go run ./cmd/libra-trace -validate "$tmp/events.jsonl"
 go run ./cmd/libra-trace analyze -json "$tmp/events.jsonl" | go run ./scripts/analyzecheck -flows 2
+rm -rf "$tmp"
+# Training smoke: a two-episode libra-train run records its learning
+# curve through the operator rig's -trace-out, and the stream must pass
+# the schema check.
+tmp=$(mktemp -d)
+go run ./cmd/libra-train -episodes 2 -eplen 1s -out "$tmp/models" -trace-out "$tmp/train.jsonl"
+go run ./cmd/libra-trace -validate "$tmp/train.jsonl"
 rm -rf "$tmp"
 # Robustness-lab smoke (tiny budgets, 2 CCAs): adversarial search, a
 # replay of the discovered spec with a forensic flight dump, and a
