@@ -178,6 +178,16 @@ func (rc *RunContext) Reseed(seed int64) *RunContext {
 	return rc
 }
 
+// quiet returns a copy of the context that records nothing: no events,
+// no live registrations, and a private registry nobody reads. A timing
+// repeat of a run that is already recorded uses it, so the repeat's
+// flows are not counted twice.
+func (rc *RunContext) quiet() *RunContext {
+	q := *rc
+	q.Tracer, q.Live, q.Metrics = nil, nil, telemetry.NewRegistry()
+	return &q
+}
+
 // child builds the context for Sweep job i: sub-derived seed, private
 // registry, buffered tracer (when the parent traces), shared fault
 // plan and agent cache, serial workers (nested Sweeps inside a job run

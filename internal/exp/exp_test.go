@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"libra/internal/netem"
 	"libra/internal/rlcc"
 	"os"
 	"path/filepath"
@@ -135,5 +136,34 @@ func TestAgentSetSaveLoad(t *testing.T) {
 	b := loaded.LibraRL.Policy.Mean(obs)[0]
 	if a != b {
 		t.Fatalf("loaded policy diverges: %v vs %v", a, b)
+	}
+}
+
+// A flow with no RTT sample has AvgRTT 0: sec7-datacenter must leave it
+// out of the delay average (and print '-' when a CCA has no sampled flow
+// at all) rather than read starvation as low delay.
+func TestSec7TableSkipsStarvedFlows(t *testing.T) {
+	flow := func(rttMs float64, samples int64) Metrics {
+		f := &netem.Flow{}
+		f.Stats.RTTCount = samples
+		f.Stats.RTTSum = time.Duration(rttMs*float64(samples)) * time.Millisecond
+		f.Stats.AckedBytes = 1000 * samples
+		f.Stats.Active = time.Second
+		return Metrics{Util: 0.9, DelayMs: float64(f.Stats.AvgRTT()) / float64(time.Millisecond), Flow: f}
+	}
+	ccas := []string{"fed", "one-starved", "all-starved"}
+	rs := [][]Metrics{
+		{flow(2, 10), flow(4, 10)},
+		{flow(2, 10), flow(0, 0)},
+		{flow(0, 0), flow(0, 0)},
+	}
+	tbl, starved := sec7Table(ccas, rs)
+	if starved != 3 {
+		t.Errorf("starved = %d, want 3", starved)
+	}
+	for i, want := range []string{"3.00", "2.00", "-"} {
+		if got := tbl.Rows[i][2]; got != want {
+			t.Errorf("%s: avg delay %q, want %q", ccas[i], got, want)
+		}
 	}
 }

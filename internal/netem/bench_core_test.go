@@ -65,3 +65,40 @@ func TestNetemSteadyStateAllocs(t *testing.T) {
 		t.Fatal("workload processed no packets")
 	}
 }
+
+// maxPending steps the engine from the end of warm-up to until and
+// returns the largest heap it saw between two dispatches.
+func maxPending(tp *Topology, warm, until time.Duration) int {
+	tp.Eng.Run(warm)
+	most := tp.Eng.Pending()
+	for tp.Eng.Now() < until && tp.Eng.Step() {
+		if n := tp.Eng.Pending(); n > most {
+			most = n
+		}
+	}
+	return most
+}
+
+// TestEngineHeapBound pins the engine's heap to the network's shape, not
+// to the packets in flight: each flow holds at most its pacing, RTO and
+// tick timers, each link its serialization timer and one propagation
+// delay-line entry, each route one ACK delay-line entry, and the queue
+// sampler one timer. A per-packet timer on either delay path would put
+// every packet in propagation into the heap.
+func TestEngineHeapBound(t *testing.T) {
+	bound := func(tp *Topology) int {
+		return 3*len(tp.Flows()) + 2*len(tp.Links()) + len(tp.Routes()) + 1
+	}
+	n := benchNet(7)
+	tp, _ := benchTopo(7)
+	for _, c := range []struct {
+		name string
+		tp   *Topology
+	}{{"single bottleneck", n.Topology}, {"3-hop chain", tp}} {
+		got, max := maxPending(c.tp, 2*time.Second, 3*time.Second), bound(c.tp)
+		t.Logf("%s: heap peaked at %d entries, bound %d", c.name, got, max)
+		if got > max {
+			t.Errorf("%s: heap reached %d entries, bound %d", c.name, got, max)
+		}
+	}
+}

@@ -108,8 +108,7 @@ type Flow struct {
 	nextSend   time.Duration
 	paceTimer  sim.Timer
 	paceArmed  bool
-	rtoTimer   sim.Timer
-	rtoArmed   bool
+	rtoTimer   *sim.Deadline
 	rtoBackoff int
 
 	ackBuf  cc.Ack
@@ -193,7 +192,7 @@ func (f *Flow) stop() {
 	f.running = false
 	f.Stats.Active = f.topo.Eng.Now() - f.startAt
 	f.topo.Eng.Cancel(f.paceTimer)
-	f.topo.Eng.Cancel(f.rtoTimer)
+	f.rtoTimer.Stop()
 	if st, ok := f.ctrl.(cc.Stopper); ok {
 		st.Stop(f.topo.Eng.Now())
 	}
@@ -282,11 +281,12 @@ func (f *Flow) sendPacket(now time.Duration) {
 }
 
 // onDelivered runs when a data packet reaches the receiver; the ACK
-// returns after the reverse propagation delay. The packet itself rides
-// the reverse path as the ACK carrier — no separate ACK struct, no
-// boxing — and is returned to the pool when the sender processes it.
+// returns on the route's delay line after the reverse propagation delay.
+// The packet itself rides the reverse path as the ACK carrier — no
+// separate ACK struct, no boxing — and is returned to the pool when the
+// sender processes it.
 func (f *Flow) onDelivered(p *Packet) {
-	f.topo.Eng.AfterCall(f.route.ackDelay, ackCb, p)
+	f.route.ack.Push(p)
 }
 
 // ackCb delivers the returning ACK to its sender.
@@ -415,24 +415,25 @@ func (f *Flow) rto() time.Duration {
 // rtoCb fires the retransmission timeout.
 func rtoCb(arg any) { arg.(*Flow).onRTO() }
 
+// armRTO starts the retransmission timeout unless it is already running.
 func (f *Flow) armRTO(now time.Duration) {
-	if f.rtoArmed {
-		return
+	if !f.rtoTimer.Armed() {
+		f.rtoTimer.Set(now + f.rto())
 	}
-	f.rtoArmed = true
-	f.rtoTimer = f.topo.Eng.AtCall(now+f.rto(), rtoCb, f)
 }
 
+// rearmRTO restarts the timeout after an ACK, or stops it once nothing
+// is in flight. The deadline moves lazily, so the per-ACK restart does
+// not touch the engine's heap.
 func (f *Flow) rearmRTO(now time.Duration) {
-	f.topo.Eng.Cancel(f.rtoTimer)
-	f.rtoArmed = false
 	if f.inflightBytes > 0 {
-		f.armRTO(now)
+		f.rtoTimer.Set(now + f.rto())
+	} else {
+		f.rtoTimer.Stop()
 	}
 }
 
 func (f *Flow) onRTO() {
-	f.rtoArmed = false
 	if !f.running && f.inflightBytes == 0 {
 		return
 	}

@@ -32,6 +32,7 @@ type Link struct {
 	faults FaultInjector
 	sink   func(*Packet)
 	sinkCb sim.Callback        // fixed wrapper over sink; one alloc per link, zero per packet
+	line   *sim.Line           // propagation: every packet without a fault ExtraDelay
 	drop   func(*Packet, bool) // stochastic=true when channel loss, false when tail drop
 	dup    func(*Packet) *Packet
 	queue  []*Packet
@@ -126,6 +127,7 @@ func newLink(eng *sim.Engine, spec LinkSpec, seed int64, sink func(*Packet), dro
 		l.codel = NewCoDel()
 	}
 	l.sinkCb = func(arg any) { l.sink(arg.(*Packet)) }
+	l.line = eng.NewLine(l.prop, l.sinkCb)
 	return l
 }
 
@@ -269,7 +271,9 @@ func (l *Link) serveNext() {
 // and the next packet enters service. The head cannot have changed since
 // serveNext scheduled us — enqueues append at the tail and head drops
 // only happen between services — so the packet is re-read rather than
-// captured in a closure.
+// captured in a closure. Propagation rides the link's delay line; a
+// packet carrying a fault ExtraDelay may overtake or fall behind its
+// neighbours, so it keeps a timer of its own.
 func serveDone(arg any) {
 	l := arg.(*Link)
 	p := l.queue[l.qhead]
@@ -278,6 +282,10 @@ func serveDone(arg any) {
 	l.qhead++
 	l.qByte -= p.Size
 	l.delivered += int64(p.Size)
-	l.eng.AfterCall(l.prop+p.ExtraDelay, l.sinkCb, p)
+	if p.ExtraDelay != 0 {
+		l.eng.AfterCall(l.prop+p.ExtraDelay, l.sinkCb, p)
+	} else {
+		l.line.Push(p)
+	}
 	l.serveNext()
 }

@@ -69,6 +69,7 @@ type Route struct {
 	name     string
 	links    []*Link
 	ackDelay time.Duration
+	ack      *sim.Line // ACK return path, shared by the route's flows
 }
 
 // Name returns the route's identifier.
@@ -234,6 +235,7 @@ func (tp *Topology) AddRoute(name string, via []string, ackDelay time.Duration) 
 		ackDelay = symmetric
 	}
 	r.ackDelay = ackDelay
+	r.ack = tp.Eng.NewLine(ackDelay, ackCb)
 	tp.routes = append(tp.routes, r)
 	return r, nil
 }
@@ -295,6 +297,7 @@ func (tp *Topology) AddFlowOn(r *Route, ctrl cc.Controller, start, stop time.Dur
 		startAt: start,
 		stopAt:  stop,
 	}
+	f.rtoTimer = tp.Eng.NewDeadline(rtoCb, f)
 	if b := tp.tcfg.SeriesBucket; b > 0 {
 		f.Stats.Throughput = NewSeries(b)
 		f.Stats.Delay = NewSeries(b)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"os"
 	"testing"
 	"time"
@@ -41,6 +42,53 @@ func BenchmarkSteadyCallback(b *testing.B) {
 	}
 }
 
+// lineChain is the delay-path workload: a line with several items in
+// flight, each delivery pushing its item straight back and re-setting a
+// deadline the way an ACK restarts a flow's RTO.
+type lineChain struct {
+	e    *Engine
+	line *Line
+	rto  *Deadline
+	n    int
+	stop int
+}
+
+func lineChainCb(arg any) {
+	c := arg.(*lineChain)
+	c.n++
+	if c.n >= c.stop {
+		c.rto.Stop()
+		return
+	}
+	c.rto.Set(c.e.Now() + 50*time.Microsecond)
+	c.line.Push(c)
+}
+
+// BenchmarkSteadyLine measures the delay-line and lazy-deadline hot path:
+// one line delivery, one push and one deadline re-set per op. The
+// deadline's stale entry comes due and re-arms every 50 µs of simulated
+// time.
+func BenchmarkSteadyLine(b *testing.B) {
+	e := New(1)
+	c := &lineChain{e: e, stop: math.MaxInt}
+	c.line = e.NewLine(8*time.Microsecond, lineChainCb)
+	c.rto = e.NewDeadline(func(any) { b.Fatal("deadline fired while being re-set") }, nil)
+	for i := 0; i < 64; i++ {
+		e.At(time.Hour+time.Duration(i), func() {})
+	}
+	for i := 0; i < 8; i++ {
+		e.At(time.Duration(i)*time.Microsecond, func() { c.line.Push(c) })
+	}
+	e.Run(16 * time.Microsecond) // warm-up: the line's buffer reaches its working size
+	c.n, c.stop = 0, b.N
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run(time.Hour - time.Minute)
+	if c.n < b.N {
+		b.Fatalf("delivered %d of %d items", c.n, b.N)
+	}
+}
+
 // BenchmarkClosureSchedule measures the legacy At path (closure per
 // event) for comparison; this is the cold-path API.
 func BenchmarkClosureSchedule(b *testing.B) {
@@ -74,27 +122,34 @@ func BenchmarkHeapChurn(b *testing.B) {
 const steadyBudgetNs = 250
 
 // TestEngineBudget is the regression guard for the allocation-free hot
-// path: steady-state scheduling/dispatch must stay at exactly 0
-// allocs/event, and under steadyBudgetNs ns/event. The nanosecond
-// assertion only arms when CORE_BENCH_GUARD is set (make bench-core /
-// scripts/check.sh), because it needs this package run in isolation; the
-// allocation assertion is unconditional — allocations do not depend on
-// machine load.
+// paths: steady-state scheduling/dispatch, and line push/delivery with a
+// deadline re-set, must stay at exactly 0 allocs/event, and under
+// steadyBudgetNs ns/event. The nanosecond assertion only arms when
+// CORE_BENCH_GUARD is set (make bench-core / scripts/check.sh), because
+// it needs this package run in isolation; the allocation assertion is
+// unconditional — allocations do not depend on machine load.
 func TestEngineBudget(t *testing.T) {
-	r := testing.Benchmark(BenchmarkSteadyCallback)
-	if r.N == 0 {
-		t.Skip("benchmark did not run")
+	guard := os.Getenv("CORE_BENCH_GUARD") != ""
+	for _, c := range []struct {
+		name  string
+		bench func(*testing.B)
+	}{
+		{"steady callback path", BenchmarkSteadyCallback},
+		{"line + deadline path", BenchmarkSteadyLine},
+	} {
+		r := testing.Benchmark(c.bench)
+		if r.N == 0 {
+			t.Fatalf("%s: benchmark did not run", c.name)
+		}
+		t.Logf("%s: %d ns/event, %d allocs/event (N=%d)", c.name, r.NsPerOp(), r.AllocsPerOp(), r.N)
+		if a := r.AllocsPerOp(); a != 0 {
+			t.Errorf("%s allocates: %d allocs/event, want 0", c.name, a)
+		}
+		if ns := r.NsPerOp(); guard && ns > steadyBudgetNs {
+			t.Errorf("%s costs %d ns/event, budget %d", c.name, ns, steadyBudgetNs)
+		}
 	}
-	t.Logf("steady callback path: %d ns/event, %d allocs/event (N=%d)",
-		r.NsPerOp(), r.AllocsPerOp(), r.N)
-	if a := r.AllocsPerOp(); a != 0 {
-		t.Errorf("steady-state event path allocates: %d allocs/event, want 0", a)
-	}
-	if os.Getenv("CORE_BENCH_GUARD") == "" {
+	if !guard {
 		t.Log("set CORE_BENCH_GUARD=1 (make bench-core) to arm the ns/event assertion")
-		return
-	}
-	if ns := r.NsPerOp(); ns > steadyBudgetNs {
-		t.Errorf("steady-state event path costs %d ns/event, budget %d", ns, steadyBudgetNs)
 	}
 }

@@ -12,15 +12,19 @@
 // dispatch. Event payloads (the function to run) live in a generation-
 // counted slot table recycled through a free list, so steady-state
 // scheduling and dispatch allocate nothing. Each armed slot records its
-// entry's heap index, so Cancel removes the entry in O(log n) and the
-// heap holds exactly the pending events. Two scheduling APIs share this
-// machinery:
+// entry's heap index, so Cancel removes the entry in O(log n). Two
+// scheduling APIs share this machinery:
 //
 //   - At/After take a closure. Convenient, but the closure itself is an
 //     allocation at the call site — use on setup and other cold paths.
 //   - AtCall/AfterCall take a fixed Callback plus an argument. When the
 //     callback is a package-level function and the argument is a pointer,
-//     scheduling is allocation-free — this is the per-packet path.
+//     scheduling is allocation-free.
+//
+// Two primitives stand for many events with one heap entry each while
+// keeping their exact (at, seq) order: a Line (fixed-delay FIFO, the
+// per-packet propagation and ACK paths) and a Deadline (a timer re-set
+// far more often than it fires, a flow's RTO).
 package sim
 
 import (
@@ -52,13 +56,17 @@ type heapEntry struct {
 // slotRec holds one scheduled event's payload. gen increments every time
 // the slot is released (fired or cancelled), so stale Timer handles are
 // recognised in O(1) even after slot reuse. pos is the armed event's
-// index in the heap, kept current by every sift.
+// index in the heap, kept current by every sift. A Line or a Deadline
+// owns one slot for its whole life, marked by line or dl; such a slot
+// is never released, so no Timer handle ever matches it.
 type slotRec struct {
-	gen uint32
-	pos int32
-	fn  func()
-	cb  Callback
-	arg any
+	gen  uint32
+	pos  int32
+	fn   func()
+	cb   Callback
+	arg  any
+	line *Line
+	dl   *Deadline
 }
 
 // Engine is a single-threaded discrete-event simulator. The zero value is
@@ -204,6 +212,12 @@ func (e *Engine) release(s int32) {
 	e.free = append(e.free, s)
 }
 
+// push adds a heap entry for slot s under the (at, seq) key.
+func (e *Engine) push(at Clock, seq uint64, s int32) {
+	e.heap = append(e.heap, heapEntry{at: at, seq: seq, slot: s})
+	e.siftUp(len(e.heap) - 1)
+}
+
 // schedule arms one event. Exactly one of fn/cb is non-nil.
 func (e *Engine) schedule(t Clock, fn func(), cb Callback, arg any) Timer {
 	if t < e.now {
@@ -212,9 +226,8 @@ func (e *Engine) schedule(t Clock, fn func(), cb Callback, arg any) Timer {
 	s := e.allocSlot()
 	rec := &e.slots[s]
 	rec.fn, rec.cb, rec.arg = fn, cb, arg
-	e.heap = append(e.heap, heapEntry{at: t, seq: e.seq, slot: s})
+	e.push(t, e.seq, s)
 	e.seq++
-	e.siftUp(len(e.heap) - 1)
 	return Timer{slot: s + 1, gen: rec.gen}
 }
 
@@ -261,24 +274,42 @@ func (e *Engine) Cancel(t Timer) {
 // Halt stops Run before the next event is dispatched.
 func (e *Engine) Halt() { e.halted = true }
 
-// dispatchTop fires the minimum entry. The slot is released before the
-// payload runs, so a callback may re-arm freely; its own Timer handle is
-// already stale by then.
+// dispatchTop fires the minimum entry. A timer's slot is released before
+// the payload runs, so a callback may re-arm freely; its own Timer handle
+// is already stale by then. A line or deadline entry is handed to its
+// owner, which keeps it at the root under a new key, removes it, or (a
+// stale deadline entry) runs nothing at all.
 func (e *Engine) dispatchTop() {
 	ent := e.heap[0]
-	e.removeAt(0)
 	e.now = ent.at
 	rec := &e.slots[ent.slot]
-	fn, cb, arg := rec.fn, rec.cb, rec.arg
-	e.release(ent.slot)
+	switch {
+	case rec.line != nil:
+		e.count()
+		rec.line.deliver()
+	case rec.dl != nil:
+		if d := rec.dl; d.due() {
+			e.count()
+			d.cb(d.arg)
+		}
+	default:
+		e.removeAt(0)
+		fn, cb, arg := rec.fn, rec.cb, rec.arg
+		e.release(ent.slot)
+		e.count()
+		if cb != nil {
+			cb(arg)
+		} else {
+			fn()
+		}
+	}
+}
+
+// count records one dispatched event.
+func (e *Engine) count() {
 	e.dispatched++
 	if e.dispatched&(progressStride-1) == 0 {
 		e.publishProgress()
-	}
-	if cb != nil {
-		cb(arg)
-	} else {
-		fn()
 	}
 }
 
@@ -313,27 +344,34 @@ func (e *Engine) Run(until Clock) {
 }
 
 // Step dispatches the single next pending event and reports whether one
-// was dispatched.
+// was dispatched. Heap entries that come due without an event (a moved
+// or stopped Deadline's) are consumed on the way.
 func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
-		return false
+	for len(e.heap) > 0 {
+		n := e.dispatched
+		e.dispatchTop()
+		if e.dispatched != n {
+			return true
+		}
 	}
-	e.dispatchTop()
-	return true
+	return false
 }
 
-// Pending returns the number of scheduled (non-cancelled) events in O(1):
-// cancelled and fired events leave the heap at once.
+// Pending returns the number of heap entries in O(1): one per scheduled
+// (non-cancelled) timer, one per non-empty Line and one per Deadline
+// that holds an entry. Cancelled and fired timers leave the heap at
+// once; a stopped or moved Deadline keeps its entry until it comes due.
 func (e *Engine) Pending() int { return len(e.heap) }
 
-// pendingLinear recounts pending events by scanning the heap for entries
-// whose slot is armed and records that entry's position. Tests assert
-// Pending and the position index against it.
+// pendingLinear recounts heap entries by scanning the heap for entries
+// whose slot is armed (or owned by a line or deadline) and records that
+// entry's position. Tests assert Pending and the position index against
+// it.
 func (e *Engine) pendingLinear() int {
 	n := 0
 	for i, ent := range e.heap {
 		rec := &e.slots[ent.slot]
-		if (rec.fn != nil || rec.cb != nil) && int(rec.pos) == i {
+		if (rec.fn != nil || rec.cb != nil || rec.line != nil || rec.dl != nil) && int(rec.pos) == i {
 			n++
 		}
 	}

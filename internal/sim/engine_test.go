@@ -241,15 +241,43 @@ func TestPendingMatchesLinearCount(t *testing.T) {
 	check("after cancel-inside-callback run")
 }
 
-// modelEvent is one pending event in the reference model.
+// modelEvent is one pending dispatch in the reference model: a timer, a
+// line item or a deadline's heap entry.
 type modelEvent struct {
-	at  Clock
-	seq uint64
-	id  int
+	at   Clock
+	seq  uint64
+	kind int
+	id   int // timer handle id, line item id or deadline index
+}
+
+const (
+	kindTimer = iota
+	kindLine
+	kindDeadline
+)
+
+// modelLine mirrors one Line: its items sit in the model's pending list
+// as ordinary events, but the heap holds one entry while any is pending.
+type modelLine struct {
+	l     *Line
+	delay Clock
+	n     int // items pending
+}
+
+// modelDeadline mirrors one Deadline: the deadline itself, and the time
+// of the heap entry standing for it, which may be stale.
+type modelDeadline struct {
+	d     *Deadline
+	armed bool
+	at    Clock
+	seq   uint64
+	entry bool // holds a heap entry (and an event in the pending list)
+	entAt Clock
 }
 
 // engineModel mirrors an Engine with a plain slice kept sorted by
-// (at, seq), the order the heap must dispatch in.
+// (at, seq), the order the heap must dispatch in. Every timer, line push
+// and deadline Set takes its seq when the call is made.
 type engineModel struct {
 	t       *testing.T
 	e       *Engine
@@ -258,33 +286,52 @@ type engineModel struct {
 	pending []modelEvent // sorted by (at, seq)
 	handles []Timer      // every handle ever issued, indexed by id
 	rtoID   int          // the timer re-armed the way a flow's RTO is
+	lines   []modelLine
+	lineOf  []int // line index of every item ever pushed, by item id
+	dls     []modelDeadline
+	fires   int // callbacks run
 }
 
-// check asserts that the heap holds exactly the model's pending events.
+func newEngineModel(t *testing.T, seed int64) *engineModel {
+	m := &engineModel{t: t, e: New(seed), rng: rand.New(rand.NewSource(seed))}
+	// Delays 0 (delivery at the push instant) and 1 ms (ties with timers
+	// and deadlines on the millisecond grid) among others.
+	for _, d := range []Clock{0, time.Millisecond, 3 * time.Millisecond, 7 * time.Millisecond} {
+		m.lines = append(m.lines, modelLine{delay: d,
+			l: m.e.NewLine(d, func(arg any) { m.fire(kindLine, arg.(int)) })})
+	}
+	for i := 0; i < 3; i++ {
+		m.dls = append(m.dls, modelDeadline{
+			d: m.e.NewDeadline(func(arg any) { m.fire(kindDeadline, arg.(int)) }, i)})
+	}
+	m.rtoID = m.schedule()
+	return m
+}
+
+// check asserts that the heap holds exactly the entries the model
+// predicts: one per pending timer, per non-empty line and per deadline
+// entry, stale or not.
 func (m *engineModel) check(ctx string) {
 	m.t.Helper()
-	if len(m.e.heap) != m.e.Pending() || m.e.Pending() != len(m.pending) || m.e.pendingLinear() != len(m.pending) {
-		m.t.Fatalf("%s: heap %d entries, Pending() %d, linear recount %d, model %d pending",
-			ctx, len(m.e.heap), m.e.Pending(), m.e.pendingLinear(), len(m.pending))
+	want := 0
+	for _, p := range m.pending {
+		if p.kind != kindLine {
+			want++
+		}
+	}
+	for _, l := range m.lines {
+		if l.n > 0 {
+			want++
+		}
+	}
+	if len(m.e.heap) != m.e.Pending() || m.e.Pending() != want || m.e.pendingLinear() != want {
+		m.t.Fatalf("%s: heap %d entries, Pending() %d, linear recount %d, model %d entries",
+			ctx, len(m.e.heap), m.e.Pending(), m.e.pendingLinear(), want)
 	}
 }
 
-// schedule arms one event at a coarse offset from now (ties are common,
-// and a negative offset exercises the clamp) through At or AtCall.
-func (m *engineModel) schedule() int {
-	id := len(m.handles)
-	at := m.e.Now() + Clock(m.rng.Intn(24)-4)*time.Millisecond
-	var tm Timer
-	if m.rng.Intn(2) == 0 {
-		tm = m.e.At(at, func() { m.fire(id) })
-	} else {
-		tm = m.e.AtCall(at, func(arg any) { m.fire(arg.(int)) }, id)
-	}
-	if at < m.e.Now() {
-		at = m.e.Now()
-	}
-	ev := modelEvent{at: at, seq: m.seq, id: id}
-	m.seq++
+// insert adds ev to the sorted pending list.
+func (m *engineModel) insert(ev modelEvent) {
 	i := sort.Search(len(m.pending), func(i int) bool {
 		p := m.pending[i]
 		return p.at > ev.at || (p.at == ev.at && p.seq > ev.seq)
@@ -292,6 +339,39 @@ func (m *engineModel) schedule() int {
 	m.pending = append(m.pending, modelEvent{})
 	copy(m.pending[i+1:], m.pending[i:])
 	m.pending[i] = ev
+}
+
+// remove drops the pending event of the given kind and id, if any.
+func (m *engineModel) remove(kind, id int) {
+	for i, p := range m.pending {
+		if p.kind == kind && p.id == id {
+			m.pending = append(m.pending[:i], m.pending[i+1:]...)
+			return
+		}
+	}
+}
+
+// offset draws a coarse time from now: ties are common, and a negative
+// offset exercises the clamp to the current instant.
+func (m *engineModel) offset() Clock {
+	return m.e.Now() + Clock(m.rng.Intn(24)-4)*time.Millisecond
+}
+
+// schedule arms one timer through At or AtCall.
+func (m *engineModel) schedule() int {
+	id := len(m.handles)
+	at := m.offset()
+	var tm Timer
+	if m.rng.Intn(2) == 0 {
+		tm = m.e.At(at, func() { m.fire(kindTimer, id) })
+	} else {
+		tm = m.e.AtCall(at, func(arg any) { m.fire(kindTimer, arg.(int)) }, id)
+	}
+	if at < m.e.Now() {
+		at = m.e.Now()
+	}
+	m.insert(modelEvent{at: at, seq: m.seq, kind: kindTimer, id: id})
+	m.seq++
 	m.handles = append(m.handles, tm)
 	return id
 }
@@ -299,12 +379,7 @@ func (m *engineModel) schedule() int {
 // cancel cancels handle id, which may be pending, fired or cancelled.
 func (m *engineModel) cancel(id int) {
 	m.e.Cancel(m.handles[id])
-	for i, p := range m.pending {
-		if p.id == id {
-			m.pending = append(m.pending[:i], m.pending[i+1:]...)
-			break
-		}
-	}
+	m.remove(kindTimer, id)
 }
 
 // rearm cancels the RTO-style timer and arms a fresh one.
@@ -313,50 +388,148 @@ func (m *engineModel) rearm() {
 	m.rtoID = m.schedule()
 }
 
-// op applies one random operation.
-func (m *engineModel) op() {
-	switch r := m.rng.Intn(10); {
-	case r < 4:
+// push adds one item to a random line.
+func (m *engineModel) push() {
+	li := m.rng.Intn(len(m.lines))
+	ml := &m.lines[li]
+	id := len(m.lineOf)
+	m.lineOf = append(m.lineOf, li)
+	ml.l.Push(id)
+	m.insert(modelEvent{at: m.e.Now() + ml.delay, seq: m.seq, kind: kindLine, id: id})
+	m.seq++
+	ml.n++
+}
+
+// setDeadline sets a random deadline. Its entry stays put unless the
+// deadline moved earlier than it.
+func (m *engineModel) setDeadline() {
+	di := m.rng.Intn(len(m.dls))
+	dl := &m.dls[di]
+	at := m.offset()
+	dl.d.Set(at)
+	if at < m.e.Now() {
+		at = m.e.Now()
+	}
+	dl.armed, dl.at, dl.seq = true, at, m.seq
+	m.seq++
+	if dl.entry && at >= dl.entAt {
+		return
+	}
+	m.remove(kindDeadline, di)
+	dl.entry, dl.entAt = true, at
+	m.insert(modelEvent{at: at, seq: dl.seq, kind: kindDeadline, id: di})
+}
+
+// stopDeadline stops a random deadline; its entry stays in the heap.
+func (m *engineModel) stopDeadline() {
+	dl := &m.dls[m.rng.Intn(len(m.dls))]
+	dl.d.Stop()
+	dl.armed = false
+}
+
+// stale reports whether ev is a deadline entry that is not its
+// deadline: the deadline was stopped, or set again since.
+func (m *engineModel) stale(ev modelEvent) bool {
+	if ev.kind != kindDeadline {
+		return false
+	}
+	dl := &m.dls[ev.id]
+	return !dl.armed || ev.seq != dl.seq
+}
+
+// drainStale consumes the stale deadline entries due by until at the
+// front of the pending list, as the engine does without running a
+// callback: each re-arms at its deadline under the deadline's key, or
+// drops out.
+func (m *engineModel) drainStale(until Clock) {
+	for len(m.pending) > 0 && m.pending[0].at <= until && m.stale(m.pending[0]) {
+		ev := m.pending[0]
+		m.pending = m.pending[1:]
+		dl := &m.dls[ev.id]
+		dl.entry = false
+		if dl.armed {
+			dl.entry, dl.entAt = true, dl.at
+			m.insert(modelEvent{at: dl.at, seq: dl.seq, kind: kindDeadline, id: ev.id})
+		}
+	}
+}
+
+// mutate applies one random scheduling operation, outside or inside a
+// callback.
+func (m *engineModel) mutate() {
+	switch r := m.rng.Intn(12); {
+	case r < 3:
 		m.schedule()
-	case r < 6:
+	case r < 5:
 		m.cancel(m.rng.Intn(len(m.handles)))
-	case r < 8:
+	case r < 6:
 		m.rearm()
 	case r < 9:
-		m.e.Step()
+		m.push()
+	case r < 11:
+		m.setDeadline()
+	default:
+		m.stopDeadline()
+	}
+}
+
+// op applies one random operation: a scheduling call, a Step or a Run.
+func (m *engineModel) op() {
+	switch r := m.rng.Intn(10); {
+	case r < 8:
+		m.mutate()
+	case r < 9:
+		fires := m.fires
+		ok := m.e.Step()
+		if m.fires == fires {
+			// Nothing but stale entries was left: Step must have drained
+			// them and reported no event.
+			m.drainStale(Clock(1<<63 - 1))
+			if ok || len(m.pending) != 0 {
+				m.t.Fatalf("Step() = %v with no callback run, %d model events pending", ok, len(m.pending))
+			}
+		} else if !ok || m.fires != fires+1 {
+			m.t.Fatalf("Step() = %v after %d callbacks, want true after 1", ok, m.fires-fires)
+		}
 	default:
 		until := m.e.Now() + Clock(m.rng.Intn(6))*time.Millisecond
 		m.e.Run(until)
+		m.drainStale(until)
 		if len(m.pending) > 0 && m.pending[0].at <= until {
-			m.t.Fatalf("Run(%v) left event %d due at %v", until, m.pending[0].id, m.pending[0].at)
+			m.t.Fatalf("Run(%v) left event %d/%d due at %v", until, m.pending[0].kind, m.pending[0].id, m.pending[0].at)
 		}
 	}
 	m.check("after op")
 }
 
-// fire checks a dispatch against the model's minimum, then lets the
-// callback schedule, cancel (itself included) and re-arm.
-func (m *engineModel) fire(id int) {
+// fire checks a dispatch against the model's first live event, then
+// lets the callback schedule, cancel (its own stale handle included),
+// re-arm, push, set and stop.
+func (m *engineModel) fire(kind, id int) {
 	m.t.Helper()
+	m.drainStale(m.e.Now())
 	if len(m.pending) == 0 {
-		m.t.Fatalf("event %d fired with nothing pending in the model", id)
+		m.t.Fatalf("event %d/%d fired with nothing pending in the model", kind, id)
 	}
 	want := m.pending[0]
-	if want.id != id || want.at != m.e.Now() {
-		m.t.Fatalf("dispatched event %d at %v, model expected event %d at %v", id, m.e.Now(), want.id, want.at)
+	if want.kind != kind || want.id != id || want.at != m.e.Now() {
+		m.t.Fatalf("dispatched %d/%d at %v, model expected %d/%d at %v",
+			kind, id, m.e.Now(), want.kind, want.id, want.at)
 	}
 	m.pending = m.pending[1:]
+	m.fires++
+	switch kind {
+	case kindLine:
+		m.lines[m.lineOf[id]].n--
+	case kindDeadline:
+		m.dls[id].armed, m.dls[id].entry = false, false
+	}
 	m.check("inside callback")
 	for k := m.rng.Intn(3); k > 0; k-- {
-		switch m.rng.Intn(4) {
-		case 0:
-			m.schedule()
-		case 1:
+		if kind == kindTimer && m.rng.Intn(5) == 0 {
 			m.cancel(id) // stale: the firing event's own handle
-		case 2:
-			m.cancel(m.rng.Intn(len(m.handles)))
-		default:
-			m.rearm()
+		} else {
+			m.mutate()
 		}
 		m.check("after callback op")
 	}
@@ -364,17 +537,20 @@ func (m *engineModel) fire(id int) {
 
 // Property: under a random mix of At/AtCall, Cancel (of pending, fired
 // and cancelled handles, and from inside callbacks), RTO-style re-arms,
-// Step and Run, the engine dispatches in the reference model's (at, seq)
-// order, and its heap holds exactly the pending events after every
+// Line pushes, Deadline sets, re-sets and stops (each from outside and
+// inside callbacks, at the current instant and on tied timestamps), Step
+// and Run, the engine runs callbacks in the reference model's (at, seq)
+// order, with every push and Set keyed by the seq it took when called,
+// and its heap holds exactly the entries the model predicts after every
 // operation.
 func TestEngineMatchesReferenceModel(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		m := &engineModel{t: t, e: New(seed), rng: rand.New(rand.NewSource(seed))}
-		m.rtoID = m.schedule()
+		m := newEngineModel(t, seed)
 		for i := 0; i < 2000; i++ {
 			m.op()
 		}
 		m.e.Run(m.e.Now() + time.Hour)
+		m.drainStale(m.e.Now())
 		m.check("after drain")
 		if len(m.pending) != 0 {
 			t.Fatalf("seed %d: %d model events never fired", seed, len(m.pending))

@@ -13,7 +13,7 @@ import (
 // lag the hot path by a dispatch batch).
 type ProgressSource interface {
 	// Progress returns virtual time in nanoseconds, total dispatched
-	// events, and currently pending timers.
+	// events, and current heap entries (pending timers).
 	Progress() (simNs, events, pending int64)
 }
 
@@ -53,7 +53,7 @@ func NewHealth(reg *Registry) *Health {
 		eventsSec: reg.Gauge("libra_health_events_per_second",
 			"Engine events dispatched per wall second since the last sample."),
 		pending: reg.Gauge("libra_health_pending_timers",
-			"Timers currently pending across all registered engines."),
+			"Engine heap entries across all registered engines: one per pending timer, non-empty delay line and deadline."),
 		heapBytes: reg.Gauge("libra_health_heap_bytes",
 			"Go heap in use (runtime.MemStats.HeapAlloc)."),
 		gcTotal: reg.Gauge("libra_health_gc_total",

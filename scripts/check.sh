@@ -27,10 +27,12 @@ go test -run=NONE -fuzz=FuzzParseTopo -fuzztime=10s ./internal/exp/
 TELEMETRY_BENCH_GUARD=1 go test ./internal/telemetry/ -run TestNopTracerBudget -count=1 -v
 ANALYZE_BENCH_GUARD=1 go test ./internal/analyze/ -run TestFeedBudget -count=1 -v
 # Event-engine hot path: 0 allocs/event + 250 ns/event budget on the
-# pooled callback path, and 0 allocs in a warm end-to-end netem run.
-# Timings come from the repository benchmark (bash benchmark/run.sh).
+# pooled callback path and the delay-line + deadline path, 0 allocs in
+# a warm end-to-end netem run, and the heap bounded by the network's
+# shape rather than by the packets in flight. Timings come from the
+# repository benchmark (bash benchmark/run.sh).
 CORE_BENCH_GUARD=1 go test ./internal/sim/ -run TestEngineBudget -count=1 -v
-go test ./internal/netem/ -run TestNetemSteadyStateAllocs -count=1 -v
+go test ./internal/netem/ -run 'TestNetemSteadyStateAllocs|TestEngineHeapBound' -count=1 -v
 # Flight-recorder hot path: the always-on ring append must stay 0
 # allocs and <= 50 ns/event.
 FLIGHT_BENCH_GUARD=1 go test ./internal/telemetry/ -run TestFlightEmitBudget -count=1 -v
