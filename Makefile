@@ -56,9 +56,10 @@ bench-nn:
 bench-topo:
 	TOPO_BENCH=1 TOPO_BENCH_GUARD=1 $(GO) test ./internal/netem/ -run TestBenchTopo -count=1 -v
 
-# Adversarial-lab throughput: scenarios/sec over the sweep pool,
-# recorded into BENCH_lab.json; with the guard armed the run fails if
-# throughput drops under the conservative floor. Run in isolation for
+# Adversarial-lab throughput: scenarios/sec over the sweep pool; with
+# the guard armed the run fails if throughput drops under the
+# conservative floor. Tracked timings come from the repository
+# benchmark (lab-traced's lab.evals_per_s). Run in isolation for
 # the same reason as bench-guard.
 bench-lab:
 	LAB_BENCH=1 LAB_BENCH_GUARD=1 $(GO) test ./internal/lab/ -run TestBenchLab -count=1 -v

@@ -177,7 +177,7 @@ func runReplay(args []string) {
 
 func runTournament(args []string) {
 	fs := flag.NewFlagSet("tournament", flag.ExitOnError)
-	ccas := fs.String("cca", "all", `contestants, comma-separated ("all" = every registered CCA)`)
+	ccas := fs.String("cca", "all", `contestants, comma-separated ("all" = every controller in the harness table)`)
 	budget := fs.Int("budget", 32, "per-CCA adversarial search budget")
 	seed := fs.Int64("seed", 1, "tournament seed")
 	dur := fs.Duration("dur", 4*time.Second, "simulated length of each evaluation")

@@ -10,8 +10,7 @@ import (
 	"time"
 
 	"libra/internal/analyze"
-	"libra/internal/cc"
-	_ "libra/internal/core" // registers the c-libra controller
+	"libra/internal/exp"
 	"libra/internal/netem"
 	"libra/internal/telemetry"
 	"libra/internal/trace"
@@ -52,6 +51,10 @@ func TestInspectEmptyTrace(t *testing.T) {
 func writeEventFiles(t *testing.T, n int) []string {
 	t.Helper()
 	dir := t.TempDir()
+	mk, err := exp.MakerFor("c-libra", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	paths := make([]string, n)
 	for i := range paths {
 		path := filepath.Join(dir, "run"+string(rune('a'+i))+".jsonl")
@@ -68,10 +71,7 @@ func writeEventFiles(t *testing.T, n int) []string {
 			Tracer:      rec,
 		})
 		for fl := 0; fl < 2; fl++ {
-			ctrl, err := cc.New("c-libra", cc.Config{Seed: int64(5 + i*2 + fl)})
-			if err != nil {
-				t.Fatal(err)
-			}
+			ctrl := mk(int64(5 + i*2 + fl))
 			ctrl.(telemetry.Traceable).SetTracer(rec, fl)
 			net.AddFlow(ctrl, 0, 0)
 		}

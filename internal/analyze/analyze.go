@@ -7,7 +7,9 @@
 // the Eq. 1 terms, stage-duration attribution, streaming rate/RTT/
 // queue percentiles, windowed Jain fairness across flows, and anomaly
 // flags (post-blackout rate collapse, no-ACK streaks, utility
-// regressions).
+// regressions). A sweep's stream holds many runs whose flow IDs
+// restart at 0; the detectors are scoped to one run, which ends at the
+// harness's scenario span.
 //
 // Memory discipline: nothing is retained per event. State is O(flows)
 // sketches and counters plus O(windows × flows) fairness accumulators
@@ -23,6 +25,8 @@ package analyze
 import (
 	"io"
 	"math"
+	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -40,10 +44,6 @@ type Config struct {
 	// (default utility.Default(); must match the run's utility for the
 	// decomposition to reconstruct the traced u_* values).
 	Util utility.Libra
-	// RecoveryWindow bounds how long after an outage ends a flow has to
-	// regain half its pre-outage base rate before the rate-collapse
-	// anomaly fires (default 10s).
-	RecoveryWindow time.Duration
 	// OnAnomaly, when set, fires the moment a detector trips: reasons
 	// are the telemetry Anomaly* constants (rate_collapse,
 	// no_ack_streak, utility_regression). It is invoked on the feeding
@@ -66,14 +66,16 @@ func (c Config) withDefaults() Config {
 	if c.Util == (utility.Libra{}) {
 		c.Util = utility.Default()
 	}
-	if c.RecoveryWindow <= 0 {
-		c.RecoveryWindow = 10 * time.Second
-	}
 	if c.SLOs == nil {
 		c.SLOs = DefaultSLOs()
 	}
 	return c
 }
+
+// recoveryWindow bounds how long after an outage ends a flow has to
+// regain half its pre-outage base rate before the rate-collapse anomaly
+// fires.
+const recoveryWindow = 10 * time.Second
 
 // Winner indices into the per-flow win counters (mirrors
 // core.Candidate's string order).
@@ -172,11 +174,14 @@ type flowState struct {
 	drops     int64
 
 	// Anomaly state. preOutageRate snapshots the base rate when a
-	// no-ACK streak begins; a "recover" marker arms the recovery watch.
+	// no-ACK streak begins; outage is set by an episode's first decay
+	// cycle and cleared by the "recover" marker, which also arms the
+	// recovery watch.
 	noAckStreak    int64
 	maxNoAckStreak int64
 	noAckEpisodes  int64
 	decays         int64
+	outage         bool
 	lastXPrev      float64
 	preOutageRate  float64
 	watching       bool
@@ -390,7 +395,37 @@ func (a *Analyzer) feed(e *telemetry.Event) {
 		fs.events++
 	case telemetry.TypeProfile:
 		a.bindProfile(a.flow(e.Flow), e.Name)
+	case telemetry.TypeSpan:
+		if e.Flow == -1 && e.Reason == telemetry.SpanEnd && strings.HasPrefix(e.Name, "scenario:") {
+			a.endRun(e.T)
+		}
 	}
+}
+
+// endRun closes one harness run at its scenario span end: open
+// recovery watches resolve at t, and every flow's detector state
+// starts afresh, since the next run reuses the flow IDs. Callers hold
+// a.mu.
+func (a *Analyzer) endRun(t int64) {
+	for _, fs := range a.sortedFlows() {
+		if fs.watching {
+			a.closeWatch(fs, t)
+		}
+		fs.noAckStreak, fs.outage = 0, false
+		fs.lastXPrev, fs.preOutageRate = 0, 0
+		fs.uEwma, fs.ewmaInit, fs.regressStreak = 0, false, 0
+	}
+}
+
+// sortedFlows returns the flow states in flow-ID order, so detectors
+// resolved together fire in a deterministic order. Callers hold a.mu.
+func (a *Analyzer) sortedFlows() []*flowState {
+	out := make([]*flowState, 0, len(a.flows))
+	for _, fs := range a.flows {
+		out = append(out, fs)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	return out
 }
 
 // feedFault classifies one fault event into a link state's counters.
@@ -490,12 +525,13 @@ func (a *Analyzer) feedNoAck(e *telemetry.Event) {
 	fs := a.flow(e.Flow)
 	fs.events++
 	if e.Reason == "recover" {
-		// Outage ended: watch whether the base rate regains half its
-		// pre-outage level within the recovery window.
-		fs.noAckStreak = 0
+		// Outage ended: re-arm the no-ACK trigger and watch whether the
+		// base rate regains half its pre-outage level within the
+		// recovery window.
+		fs.noAckStreak, fs.outage = 0, false
 		if fs.preOutageRate > 0 {
 			fs.watching = true
-			fs.watchDeadline = e.T + int64(a.cfg.RecoveryWindow)
+			fs.watchDeadline = e.T + int64(recoveryWindow)
 			fs.recoveryMax = e.XPrev
 		}
 		return
@@ -509,15 +545,15 @@ func (a *Analyzer) feedNoAck(e *telemetry.Event) {
 	if fs.noAckStreak > fs.maxNoAckStreak {
 		fs.maxNoAckStreak = fs.noAckStreak
 	}
-	if fs.noAckStreak == 2 {
-		// Same threshold as the report flag: two consecutive silent
-		// cycles is where the core watchdog starts treating the link as
-		// down. Fires once per streak.
-		fs.noAckEpisodes++
-		a.fireAnomaly(fs.id, e.T, telemetry.AnomalyNoAckStreak)
-	}
 	if e.Reason == "decay" {
 		fs.decays++
+		if !fs.outage {
+			// The first decay cycle is where the core watchdog presumes
+			// the link down. Fires once per outage; recover re-arms it.
+			fs.outage = true
+			fs.noAckEpisodes++
+			a.fireAnomaly(fs.id, e.T, telemetry.AnomalyNoAckStreak)
+		}
 	}
 	if fs.haveCycleStart && e.T >= fs.cycleStartT {
 		fs.cycleMs.Add(float64(e.T-fs.cycleStartT) / 1e6)
@@ -556,7 +592,7 @@ func (a *Analyzer) fireAnomaly(flow int, t int64, reason string) {
 func (a *Analyzer) Finalize() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for _, fs := range a.flows {
+	for _, fs := range a.sortedFlows() {
 		if fs.watching {
 			a.closeWatch(fs, a.lastT)
 		}

@@ -3,6 +3,7 @@ package analyze
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -398,5 +399,95 @@ func TestPerLinkAttribution(t *testing.T) {
 	}
 	if strings.Contains(ebuf.String(), "per-link") {
 		t.Error("unlabelled trace grew a per-link section")
+	}
+}
+
+// TestNoAckStreakOncePerOutage checks the no-ACK trigger fires once per
+// outage, at its first decay cycle: later decays of the same outage
+// stay quiet and a recover marker re-arms it. Silent cycles that never
+// decay (ACKs still arriving) fire nothing.
+func TestNoAckStreakOncePerOutage(t *testing.T) {
+	var fired []int64
+	a := New(Config{OnAnomaly: func(_ int, t int64, reason string) {
+		if reason == telemetry.AnomalyNoAckStreak {
+			fired = append(fired, t)
+		}
+	}})
+	emit := func(t int64, reason string) {
+		a.Emit(&telemetry.Event{T: t, Type: telemetry.TypeNoAck, Flow: 0, Reason: reason})
+	}
+	emit(90, "")
+	emit(95, "")
+	for i := int64(0); i < 3; i++ {
+		emit(100+i, "decay")
+	}
+	emit(200, "recover")
+	emit(300, "decay")
+	if len(fired) != 2 || fired[0] != 100 || fired[1] != 300 {
+		t.Fatalf("no_ack_streak fired at %v, want [100 300]", fired)
+	}
+	if got := a.Report().Flows[0].NoAckEpisodes; got != 2 {
+		t.Errorf("no-ACK episodes = %d, want 2", got)
+	}
+}
+
+// TestDetectorsScopedToRun checks that a stream holding two runs, whose
+// flow IDs restart at 0, gives the detections of the two runs analysed
+// apart. Run a ends with flow 0's recovery watch open (a collapse) and
+// flow 1 mid-outage, at a high utility; run b opens at a low but steady
+// utility and flow 1 decays again.
+func TestDetectorsScopedToRun(t *testing.T) {
+	ms := func(n int64) int64 { return n * int64(time.Millisecond) }
+	decide := func(t int64, flow int, xprev, u float64) telemetry.Event {
+		return telemetry.Event{T: ms(t), Type: telemetry.TypeDecision, Flow: flow, Winner: "x_prev", XPrev: xprev, UPrev: u}
+	}
+	noAck := func(t int64, flow int, reason string, xprev float64) telemetry.Event {
+		return telemetry.Event{T: ms(t), Type: telemetry.TypeNoAck, Flow: flow, Reason: reason, XPrev: xprev}
+	}
+	end := func(name string) telemetry.Event {
+		return telemetry.Event{T: ms(1000), Type: telemetry.TypeSpan, Flow: -1, Reason: telemetry.SpanEnd, Name: "scenario:" + name}
+	}
+	var runA, runB []telemetry.Event
+	for i := int64(1); i <= 10; i++ {
+		runA = append(runA, decide(40*i, 0, 1.25e6, 50), decide(40*i+1, 1, 1.25e6, 50))
+	}
+	runA = append(runA,
+		noAck(440, 0, "", 1.25e6), noAck(480, 0, "decay", 6e5), noAck(500, 1, "decay", 6e5),
+		noAck(560, 0, "recover", 1e5), decide(600, 0, 1e5, 50), end("a"))
+	for i := int64(1); i <= 5; i++ {
+		runB = append(runB, decide(40*i, 0, 2e6, 5))
+	}
+	runB = append(runB, noAck(280, 1, "decay", 6e5), end("b"))
+
+	type hit struct {
+		flow   int
+		t      int64
+		reason string
+	}
+	analyse := func(runs ...[]telemetry.Event) []hit {
+		var hits []hit
+		a := New(Config{OnAnomaly: func(flow int, t int64, reason string) {
+			hits = append(hits, hit{flow, t, reason})
+		}})
+		for _, run := range runs {
+			for i := range run {
+				a.Emit(&run[i])
+			}
+		}
+		a.Finalize()
+		return hits
+	}
+	apart := append(analyse(runA), analyse(runB)...)
+	want := []hit{
+		{0, ms(480), telemetry.AnomalyNoAckStreak},
+		{1, ms(500), telemetry.AnomalyNoAckStreak},
+		{0, ms(1000), telemetry.AnomalyCollapse},
+		{1, ms(280), telemetry.AnomalyNoAckStreak},
+	}
+	if !reflect.DeepEqual(apart, want) {
+		t.Fatalf("runs analysed apart fired %v, want %v", apart, want)
+	}
+	if whole := analyse(runA, runB); !reflect.DeepEqual(whole, want) {
+		t.Fatalf("runs analysed together fired %v, want %v", whole, want)
 	}
 }

@@ -88,10 +88,6 @@ func New(cfg cc.Config) *BBR {
 	return b
 }
 
-func init() {
-	cc.Register("bbr", func(cfg cc.Config) cc.Controller { return New(cfg) })
-}
-
 // Name implements cc.Controller.
 func (b *BBR) Name() string { return "bbr" }
 

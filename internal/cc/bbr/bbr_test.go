@@ -9,9 +9,11 @@ import (
 	"libra/internal/trace"
 )
 
+// TestRegistered checks the name BBR reports: its key in the
+// controller table.
 func TestRegistered(t *testing.T) {
-	if _, err := cc.New("bbr", cc.Config{}); err != nil {
-		t.Fatal(err)
+	if got := New(cc.Config{}).Name(); got != "bbr" {
+		t.Fatalf("Name() = %q, want bbr", got)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package cc defines the congestion-controller interface shared by every
-// algorithm in this repository, plus the monitor-interval aggregation and
-// registry machinery the experiment harness builds on.
+// algorithm in this repository, plus the monitor-interval aggregation
+// the experiment harness builds on.
 //
 // A Controller consumes per-ACK and per-loss feedback and exposes a pacing
 // rate and a congestion window; the network emulation (internal/netem)

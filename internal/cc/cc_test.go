@@ -137,28 +137,3 @@ func TestQuickIntervalBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestRegistry(t *testing.T) {
-	Register("cc-test-dummy", func(cfg Config) Controller { return nil })
-	if _, err := New("cc-test-dummy", Config{}); err != nil {
-		t.Fatalf("lookup failed: %v", err)
-	}
-	if _, err := New("no-such-cca", Config{}); err == nil {
-		t.Fatal("expected error for unknown controller")
-	}
-	found := false
-	for _, n := range Names() {
-		if n == "cc-test-dummy" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("Names missing registered controller")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration should panic")
-		}
-	}()
-	Register("cc-test-dummy", func(cfg Config) Controller { return nil })
-}

@@ -56,10 +56,6 @@ func New(cfg cc.Config) *Copa {
 	}
 }
 
-func init() {
-	cc.Register("copa", func(cfg cc.Config) cc.Controller { return New(cfg) })
-}
-
 // Name implements cc.Controller.
 func (c *Copa) Name() string { return "copa" }
 

@@ -60,10 +60,6 @@ func New(cfg cc.Config) *Cubic {
 	}
 }
 
-func init() {
-	cc.Register("cubic", func(cfg cc.Config) cc.Controller { return New(cfg) })
-}
-
 // Name implements cc.Controller.
 func (c *Cubic) Name() string { return "cubic" }
 

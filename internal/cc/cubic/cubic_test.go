@@ -10,9 +10,11 @@ import (
 	"libra/internal/trace"
 )
 
+// TestRegistered checks the name CUBIC reports: its key in the
+// controller table.
 func TestRegistered(t *testing.T) {
-	if _, err := cc.New("cubic", cc.Config{}); err != nil {
-		t.Fatal(err)
+	if got := New(cc.Config{}).Name(); got != "cubic" {
+		t.Fatalf("Name() = %q, want cubic", got)
 	}
 }
 

@@ -45,10 +45,6 @@ func New(cfg cc.Config) *DCTCP {
 	}
 }
 
-func init() {
-	cc.Register("dctcp", func(cfg cc.Config) cc.Controller { return New(cfg) })
-}
-
 // Name implements cc.Controller.
 func (d *DCTCP) Name() string { return "dctcp" }
 

@@ -53,10 +53,6 @@ func New(cfg cc.Config) *Illinois {
 	}
 }
 
-func init() {
-	cc.Register("illinois", func(cfg cc.Config) cc.Controller { return New(cfg) })
-}
-
 // Name implements cc.Controller.
 func (il *Illinois) Name() string { return "illinois" }
 

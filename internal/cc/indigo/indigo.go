@@ -60,10 +60,6 @@ func New(cfg cc.Config) *Indigo {
 	return &Indigo{cfg: cfg, mss: float64(cfg.MSS), cwnd: 10 * float64(cfg.MSS)}
 }
 
-func init() {
-	cc.Register("indigo", func(cfg cc.Config) cc.Controller { return New(cfg) })
-}
-
 // UseModel installs an imitation-trained policy network (3 inputs ->
 // len(actions) logits).
 func (in *Indigo) UseModel(m *nn.MLP) { in.model = m }

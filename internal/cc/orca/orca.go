@@ -81,12 +81,6 @@ func New(cfg rlcc.Config) *Orca {
 	}
 }
 
-func init() {
-	cc.Register("orca", func(base cc.Config) cc.Controller {
-		return New(rlcc.OrcaRLConfig(base))
-	})
-}
-
 // Name implements cc.Controller.
 func (o *Orca) Name() string { return "orca" }
 

@@ -11,9 +11,11 @@ import (
 	"libra/internal/trace"
 )
 
+// TestRegistered checks the name Orca reports: its key in the
+// controller table.
 func TestRegistered(t *testing.T) {
-	if _, err := cc.New("orca", cc.Config{}); err != nil {
-		t.Fatal(err)
+	if got := New(rlcc.OrcaRLConfig(cc.Config{})).Name(); got != "orca" {
+		t.Fatalf("Name() = %q, want orca", got)
 	}
 }
 

@@ -86,10 +86,6 @@ func NewWithTable(cfg cc.Config, table []Rule) *Remy {
 	}
 }
 
-func init() {
-	cc.Register("remy", func(cfg cc.Config) cc.Controller { return New(cfg) })
-}
-
 // Name implements cc.Controller.
 func (r *Remy) Name() string { return "remy" }
 

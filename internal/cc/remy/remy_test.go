@@ -9,9 +9,11 @@ import (
 	"libra/internal/trace"
 )
 
+// TestRegistered checks the name Remy reports: its key in the
+// controller table.
 func TestRegistered(t *testing.T) {
-	if _, err := cc.New("remy", cc.Config{}); err != nil {
-		t.Fatal(err)
+	if got := New(cc.Config{}).Name(); got != "remy" {
+		t.Fatalf("Name() = %q, want remy", got)
 	}
 }
 

@@ -32,10 +32,6 @@ func New(cfg cc.Config) *Reno {
 	}
 }
 
-func init() {
-	cc.Register("reno", func(cfg cc.Config) cc.Controller { return New(cfg) })
-}
-
 // Name implements cc.Controller.
 func (r *Reno) Name() string { return "reno" }
 

@@ -10,9 +10,11 @@ import (
 	"libra/internal/trace"
 )
 
+// TestRegistered checks the name Reno reports: its key in the
+// controller table.
 func TestRegistered(t *testing.T) {
-	if _, err := cc.New("reno", cc.Config{}); err != nil {
-		t.Fatal(err)
+	if got := New(cc.Config{}).Name(); got != "reno" {
+		t.Fatalf("Name() = %q, want reno", got)
 	}
 }
 

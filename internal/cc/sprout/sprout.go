@@ -46,10 +46,6 @@ func New(cfg cc.Config) *Sprout {
 	}
 }
 
-func init() {
-	cc.Register("sprout", func(cfg cc.Config) cc.Controller { return New(cfg) })
-}
-
 // Name implements cc.Controller.
 func (s *Sprout) Name() string { return "sprout" }
 

@@ -40,10 +40,6 @@ func New(cfg cc.Config) *Vegas {
 	}
 }
 
-func init() {
-	cc.Register("vegas", func(cfg cc.Config) cc.Controller { return New(cfg) })
-}
-
 // Name implements cc.Controller.
 func (v *Vegas) Name() string { return "vegas" }
 

@@ -108,11 +108,6 @@ func newWith(cfg cc.Config, name string, u utility.Func) *Vivace {
 	return v
 }
 
-func init() {
-	cc.Register("vivace", func(cfg cc.Config) cc.Controller { return New(cfg) })
-	cc.Register("proteus", func(cfg cc.Config) cc.Controller { return NewProteus(cfg) })
-}
-
 // Name implements cc.Controller.
 func (v *Vivace) Name() string { return v.name }
 

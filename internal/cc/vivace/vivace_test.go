@@ -9,10 +9,16 @@ import (
 	"libra/internal/trace"
 )
 
+// TestRegistered checks that both controller-table entries, vivace and
+// proteus, build from a zero Config into a controller that can send: a
+// positive pacing rate and window, and the monitor-interval tick.
 func TestRegistered(t *testing.T) {
-	for _, n := range []string{"vivace", "proteus"} {
-		if _, err := cc.New(n, cc.Config{}); err != nil {
-			t.Fatal(err)
+	for _, c := range []cc.Controller{New(cc.Config{}), NewProteus(cc.Config{})} {
+		if c.Rate() <= 0 || c.Window() <= 0 {
+			t.Fatalf("%s: rate %v, window %v, want both > 0", c.Name(), c.Rate(), c.Window())
+		}
+		if _, ok := c.(cc.Ticker); !ok {
+			t.Fatalf("%s does not implement cc.Ticker", c.Name())
 		}
 	}
 }

@@ -42,10 +42,6 @@ func New(cfg cc.Config) *Westwood {
 	}
 }
 
-func init() {
-	cc.Register("westwood", func(cfg cc.Config) cc.Controller { return New(cfg) })
-}
-
 // Name implements cc.Controller.
 func (w *Westwood) Name() string { return "westwood" }
 

@@ -9,9 +9,11 @@ import (
 	"libra/internal/trace"
 )
 
+// TestRegistered checks the name Westwood reports: its key in the
+// controller table.
 func TestRegistered(t *testing.T) {
-	if _, err := cc.New("westwood", cc.Config{}); err != nil {
-		t.Fatal(err)
+	if got := New(cc.Config{}).Name(); got != "westwood" {
+		t.Fatalf("Name() = %q, want westwood", got)
 	}
 }
 

@@ -181,11 +181,7 @@ func AnomalyTap(fl *telemetry.FlightRecorder) telemetry.Tracer {
 	if fl == nil {
 		return nil
 	}
-	return analyze.New(analyze.Config{
-		OnAnomaly: func(flow int, t int64, reason string) {
-			fl.TriggerDump(flow, t, reason)
-		},
-	})
+	return analyze.New(analyze.Config{OnAnomaly: fl.TriggerDump})
 }
 
 // writeFile creates path and fills it with write. Empty path is a

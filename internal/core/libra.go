@@ -6,9 +6,6 @@ import (
 
 	"libra/internal/cc"
 	"libra/internal/cc/cubic"
-	"libra/internal/cc/dctcp"
-	"libra/internal/cc/illinois"
-	"libra/internal/cc/westwood"
 	"libra/internal/rlcc"
 	"libra/internal/telemetry"
 	"libra/internal/utility"
@@ -258,33 +255,6 @@ func (l *Libra) SetTracer(t telemetry.Tracer, id int) {
 	l.traceID = id
 	l.traceOn = telemetry.Enabled(t)
 	l.rl.SetTracer(t, id)
-}
-
-func init() {
-	cc.Register("c-libra", func(base cc.Config) cc.Controller {
-		return New(Config{CC: base, Classic: NewWindowAdapter(cubic.New(base)), Name: "c-libra"})
-	})
-	cc.Register("b-libra", func(base cc.Config) cc.Controller {
-		return New(Config{CC: base, Classic: NewBBRAdapter(base), Name: "b-libra"})
-	})
-	cc.Register("cl-libra", func(base cc.Config) cc.Controller {
-		return New(Config{CC: base, NoClassic: true})
-	})
-	cc.Register("w-libra", func(base cc.Config) cc.Controller {
-		return New(Config{CC: base, Classic: NewWindowAdapter(westwood.New(base)), Name: "w-libra"})
-	})
-	cc.Register("i-libra", func(base cc.Config) cc.Controller {
-		return New(Config{CC: base, Classic: NewWindowAdapter(illinois.New(base)), Name: "i-libra"})
-	})
-	cc.Register("d-libra", func(base cc.Config) cc.Controller {
-		return New(Config{CC: base, Classic: NewWindowAdapter(dctcp.New(base)), Name: "d-libra"})
-	})
-	cc.Register("mod-rl", func(base cc.Config) cc.Controller {
-		u := utility.Default()
-		cfg := rlcc.LibraRLConfig(base)
-		cfg.RewardFunc = u.Value
-		return rlcc.New("mod-rl", cfg)
-	})
 }
 
 // Name implements cc.Controller.

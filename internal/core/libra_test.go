@@ -23,11 +23,18 @@ func mustUtil(name string) utility.Func {
 	panic("unknown utility " + name)
 }
 
+// TestRegistered checks the name a Libra sender reports: the one the
+// controller table passes in Config.Name, else "libra" over a classic
+// CCA and "cl-libra" without one.
 func TestRegistered(t *testing.T) {
-	for _, n := range []string{"c-libra", "b-libra", "cl-libra", "mod-rl"} {
-		if _, err := cc.New(n, cc.Config{}); err != nil {
-			t.Fatal(err)
-		}
+	if got := New(Config{Name: "w-libra"}).Name(); got != "w-libra" {
+		t.Errorf("Name() = %q, want w-libra", got)
+	}
+	if got := New(Config{}).Name(); got != "libra" {
+		t.Errorf("Name() = %q, want libra", got)
+	}
+	if got := New(Config{NoClassic: true}).Name(); got != "cl-libra" {
+		t.Errorf("NoClassic Name() = %q, want cl-libra", got)
 	}
 }
 

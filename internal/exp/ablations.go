@@ -3,12 +3,7 @@ package exp
 import (
 	"time"
 
-	"libra/internal/cc"
-	"libra/internal/cc/cubic"
-	"libra/internal/cc/illinois"
-	"libra/internal/cc/westwood"
 	"libra/internal/core"
-	"libra/internal/rlcc"
 	"libra/internal/trace"
 )
 
@@ -33,28 +28,6 @@ func init() {
 	})
 }
 
-// libraVariant builds a Libra maker with full structural control.
-func libraVariant(ag *AgentSet, mutate func(*core.Config)) Maker {
-	return func(seed int64) cc.Controller {
-		base := cc.Config{Seed: seed}.WithDefaults()
-		rlCfg := rlcc.LibraRLConfig(base)
-		if ag != nil {
-			rlCfg.Agent = ag.LibraRL
-			rlCfg.Norm = ag.LibraNorm
-		}
-		cfg := core.Config{
-			CC:      base,
-			Classic: core.NewWindowAdapter(cubic.New(base)),
-			RL:      rlcc.New("libra-rl", rlCfg),
-			Name:    "c-libra",
-		}
-		if mutate != nil {
-			mutate(&cfg)
-		}
-		return core.New(cfg)
-	}
-}
-
 func runAblOrder(rc *RunContext) *Report {
 	rc.WithDefaults()
 	dur := 40 * time.Second
@@ -72,7 +45,7 @@ func runAblOrder(rc *RunContext) *Report {
 	ms := Sweep(rc, len(orders)*len(scens)*reps, func(jc *RunContext, i int) Metrics {
 		oi := i / (len(scens) * reps)
 		si := i / reps % len(scens)
-		mk := libraVariant(jc.agents(), func(c *core.Config) { c.HigherRateFirst = orders[oi].higher })
+		mk := tunedCLibra(jc.agents(), func(c *core.Config) { c.HigherRateFirst = orders[oi].higher })
 		return jc.RunFlow(scens[si], mk, 0)
 	})
 
@@ -99,36 +72,17 @@ func runAblClassics(rc *RunContext) *Report {
 	}
 	scens := append(WiredScenarios(dur, 24, 48), LTEScenarios(dur, rc.Seed)[:2]...)
 
-	// Makers are built inside jobs, so each variant is a factory over the
-	// job's agent set.
-	variants := []struct {
-		name string
-		mk   func(ag *AgentSet) Maker
-	}{
-		{"c-libra (CUBIC)", func(ag *AgentSet) Maker { return mustMaker("c-libra", ag, nil) }},
-		{"w-libra (Westwood)", func(ag *AgentSet) Maker {
-			return libraVariant(ag, func(c *core.Config) {
-				c.Classic = core.NewWindowAdapter(westwood.New(c.CC))
-				c.Name = "w-libra"
-			})
-		}},
-		{"i-libra (Illinois)", func(ag *AgentSet) Maker {
-			return libraVariant(ag, func(c *core.Config) {
-				c.Classic = core.NewWindowAdapter(illinois.New(c.CC))
-				c.Name = "i-libra"
-			})
-		}},
-		{"cubic alone", func(ag *AgentSet) Maker { return mustMaker("cubic", ag, nil) }},
-		{"westwood alone", func(ag *AgentSet) Maker {
-			return func(seed int64) cc.Controller { return westwood.New(cc.Config{Seed: seed}) }
-		}},
-		{"illinois alone", func(ag *AgentSet) Maker {
-			return func(seed int64) cc.Controller { return illinois.New(cc.Config{Seed: seed}) }
-		}},
+	variants := []struct{ name, cca string }{
+		{"c-libra (CUBIC)", "c-libra"},
+		{"w-libra (Westwood)", "w-libra"},
+		{"i-libra (Illinois)", "i-libra"},
+		{"cubic alone", "cubic"},
+		{"westwood alone", "westwood"},
+		{"illinois alone", "illinois"},
 	}
 
 	ms := Sweep(rc, len(variants)*len(scens), func(jc *RunContext, i int) Metrics {
-		return jc.RunFlow(scens[i%len(scens)], variants[i/len(scens)].mk(jc.agents()), 0)
+		return jc.RunFlow(scens[i%len(scens)], mustMaker(variants[i/len(scens)].cca, jc.agents(), nil), 0)
 	})
 
 	tbl := Table{Name: "Libra over different classic CCAs (avg of 4 scenarios)",

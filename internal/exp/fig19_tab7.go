@@ -3,10 +3,7 @@ package exp
 import (
 	"time"
 
-	"libra/internal/cc"
-	"libra/internal/cc/cubic"
 	"libra/internal/core"
-	"libra/internal/rlcc"
 )
 
 func init() {
@@ -26,24 +23,9 @@ func init() {
 
 // libraWithParams builds a C-Libra maker with explicit stage parameters.
 func libraWithParams(ag *AgentSet, exploreRTTs, exploitRTTs int, eiRTTs, th float64) Maker {
-	return func(seed int64) cc.Controller {
-		base := cc.Config{Seed: seed}.WithDefaults()
-		rlCfg := rlcc.LibraRLConfig(base)
-		if ag != nil {
-			rlCfg.Agent = ag.LibraRL
-			rlCfg.Norm = ag.LibraNorm
-		}
-		return core.New(core.Config{
-			CC:            base,
-			Classic:       core.NewWindowAdapter(cubic.New(base)),
-			RL:            rlcc.New("libra-rl", rlCfg),
-			ExploreRTTs:   exploreRTTs,
-			ExploitRTTs:   exploitRTTs,
-			EIRTTs:        eiRTTs,
-			ThresholdFrac: th,
-			Name:          "c-libra",
-		})
-	}
+	return tunedCLibra(ag, func(c *core.Config) {
+		c.ExploreRTTs, c.ExploitRTTs, c.EIRTTs, c.ThresholdFrac = exploreRTTs, exploitRTTs, eiRTTs, th
+	})
 }
 
 func runFig19(rc *RunContext) *Report {

@@ -6,13 +6,15 @@ import (
 	"testing"
 	"time"
 
+	"libra/internal/analyze"
 	"libra/internal/netem/faults"
 	"libra/internal/telemetry"
 	"libra/internal/trace"
 )
 
 // runFlightSweep drives a 3-job blackout sweep with a flight recorder
-// tapped on the parent context and returns the dump directory contents.
+// and the analyzer's anomaly tap on the parent context, composed as the
+// operator rig composes them, and returns the dump directory contents.
 func runFlightSweep(t *testing.T, workers int) map[string][]byte {
 	t.Helper()
 	plan, err := faults.Load("blackout")
@@ -24,8 +26,9 @@ func runFlightSweep(t *testing.T, workers int) map[string][]byte {
 	rc := NewRunContext(11)
 	rc.Workers = workers
 	// The flight recorder sits at the parent level: it sees the sweep's
-	// ordered replay, never the live worker goroutines.
-	rc.Tracer = fl
+	// ordered replay, never the live worker goroutines. The anomaly tap
+	// follows it, so a dump already holds the event that tripped it.
+	rc.Tracer = telemetry.Multi(fl, analyze.New(analyze.Config{OnAnomaly: fl.TriggerDump}))
 
 	s := Scenario{
 		Name:     "blackout-det",

@@ -111,10 +111,7 @@ func TestHostilePlanNoStall(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctrl, err := cc.New(name, cc.Config{Seed: 5})
-			if err != nil {
-				t.Fatal(err)
-			}
+			ctrl := newCCA(t, name, 5)
 			n := netem.New(netem.Config{
 				Capacity:    trace.Constant(trace.Mbps(24)),
 				MinRTT:      30 * time.Millisecond,

@@ -10,36 +10,34 @@ import (
 
 	"libra/internal/cc"
 	"libra/internal/core"
+	"libra/internal/exp"
 	"libra/internal/netem"
 	"libra/internal/trace"
-
-	// Register every controller with the cc registry.
-	_ "libra/internal/cc/copa"
-	_ "libra/internal/cc/indigo"
-	_ "libra/internal/cc/orca"
-	_ "libra/internal/cc/remy"
-	_ "libra/internal/cc/reno"
-	_ "libra/internal/cc/sprout"
-	_ "libra/internal/cc/vegas"
-	_ "libra/internal/cc/vivace"
-	_ "libra/internal/rlcc"
 )
 
+// newCCA builds the named controller from the harness's controller
+// table, with untrained policies.
+func newCCA(t testing.TB, name string, seed int64) cc.Controller {
+	t.Helper()
+	mk, err := exp.MakerFor(name, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mk(seed)
+}
+
 // makers returns one fresh controller of each family for sweep tests.
-func makers() map[string]func(seed int64) cc.Controller {
+func makers() map[string]exp.Maker {
 	names := []string{"cubic", "bbr", "reno", "vegas", "copa", "sprout",
 		"vivace", "proteus", "remy", "indigo", "aurora", "orca",
 		"westwood", "illinois", "dctcp", "c-libra", "b-libra", "cl-libra"}
-	out := map[string]func(seed int64) cc.Controller{}
+	out := map[string]exp.Maker{}
 	for _, n := range names {
-		n := n
-		out[n] = func(seed int64) cc.Controller {
-			ctrl, err := cc.New(n, cc.Config{Seed: seed})
-			if err != nil {
-				panic(err)
-			}
-			return ctrl
+		mk, err := exp.MakerFor(n, nil, nil)
+		if err != nil {
+			panic(err)
 		}
+		out[n] = mk
 	}
 	return out
 }
@@ -172,11 +170,7 @@ func TestManyFlowsShareBottleneck(t *testing.T) {
 	names := []string{"cubic", "bbr", "c-libra", "copa", "reno", "westwood", "illinois", "vegas"}
 	flows := make([]*netem.Flow, len(names))
 	for i, nm := range names {
-		ctrl, err := cc.New(nm, cc.Config{Seed: int64(20 + i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		flows[i] = n.AddFlow(ctrl, 0, 0)
+		flows[i] = n.AddFlow(newCCA(t, nm, int64(20+i)), 0, 0)
 	}
 	n.Run(30 * time.Second)
 	var total float64

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"libra/internal/cc"
 	"libra/internal/netem"
 	"libra/internal/telemetry"
 	"libra/internal/trace"
@@ -25,10 +24,7 @@ func traceRun(t *testing.T, name string, cap trace.Trace, buffer int, d time.Dur
 		Seed:        11,
 		Tracer:      rec,
 	})
-	ctrl, err := cc.New(name, cc.Config{Seed: 5})
-	if err != nil {
-		t.Fatalf("cc.New(%s): %v", name, err)
-	}
+	ctrl := newCCA(t, name, 5)
 	if tb, ok := ctrl.(telemetry.Traceable); ok {
 		tb.SetTracer(rec, 0)
 	}

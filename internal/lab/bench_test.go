@@ -1,7 +1,6 @@
 package lab
 
 import (
-	"encoding/json"
 	"os"
 	"runtime"
 	"testing"
@@ -13,14 +12,15 @@ import (
 )
 
 // TestBenchLab measures adversarial-lab evaluation throughput — how
-// many 4-second fault scenarios the pool scores per wall-clock second —
-// and records it into BENCH_lab.json. It only arms when LAB_BENCH is
-// set (make bench-lab); with LAB_BENCH_GUARD it additionally enforces a
-// conservative floor so a hot-path regression fails CI instead of just
-// drifting the number.
+// many 4-second fault scenarios the pool scores per wall-clock second.
+// It only arms when LAB_BENCH is set (make bench-lab); with
+// LAB_BENCH_GUARD it additionally enforces a conservative floor so a
+// hot-path regression fails CI instead of just drifting the number.
+// Tracked timings come from the repository benchmark (bash
+// benchmark/run.sh: lab-traced's lab.evals_per_s).
 func TestBenchLab(t *testing.T) {
 	if os.Getenv("LAB_BENCH") == "" {
-		t.Skip("set LAB_BENCH=1 (make bench-lab) to measure and record lab scenario throughput")
+		t.Skip("set LAB_BENCH=1 (make bench-lab) to measure lab scenario throughput")
 	}
 
 	const scenarios = 64
@@ -44,38 +44,8 @@ func TestBenchLab(t *testing.T) {
 	elapsed := suite()
 	perSec := scenarios / elapsed.Seconds()
 
-	out := struct {
-		Cores        int     `json:"cores"`
-		Scenarios    int     `json:"scenarios"`
-		SimSeconds   float64 `json:"sim_seconds_each"`
-		WallS        float64 `json:"wall_s"`
-		ScenariosSec float64 `json:"scenarios_per_sec"`
-	}{
-		Cores:        runtime.GOMAXPROCS(0),
-		Scenarios:    scenarios,
-		SimSeconds:   4,
-		WallS:        elapsed.Seconds(),
-		ScenariosSec: perSec,
-	}
-
-	path := os.Getenv("LAB_BENCH_OUT")
-	if path == "" {
-		path = "../../BENCH_lab.json"
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatalf("create %s: %v", path, err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("cores=%d scenarios=%d wall=%.2fs -> %.1f scenarios/sec -> %s",
-		out.Cores, scenarios, out.WallS, perSec, path)
+	t.Logf("cores=%d scenarios=%d wall=%.2fs -> %.1f scenarios/sec",
+		runtime.GOMAXPROCS(0), scenarios, elapsed.Seconds(), perSec)
 
 	if os.Getenv("LAB_BENCH_GUARD") != "" && perSec < 2 {
 		t.Fatalf("lab throughput %.2f scenarios/sec under the 2/sec floor", perSec)

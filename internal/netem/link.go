@@ -273,7 +273,9 @@ func (l *Link) serveNext() {
 // only happen between services — so the packet is re-read rather than
 // captured in a closure. Propagation rides the link's delay line; a
 // packet carrying a fault ExtraDelay may overtake or fall behind its
-// neighbours, so it keeps a timer of its own.
+// neighbours, so it keeps a timer of its own. The extra delay is
+// consumed here, so the hops after the faulted one do not apply it
+// again.
 func serveDone(arg any) {
 	l := arg.(*Link)
 	p := l.queue[l.qhead]
@@ -282,8 +284,9 @@ func serveDone(arg any) {
 	l.qhead++
 	l.qByte -= p.Size
 	l.delivered += int64(p.Size)
-	if p.ExtraDelay != 0 {
-		l.eng.AfterCall(l.prop+p.ExtraDelay, l.sinkCb, p)
+	if extra := p.ExtraDelay; extra != 0 {
+		p.ExtraDelay = 0
+		l.eng.AfterCall(l.prop+extra, l.sinkCb, p)
 	} else {
 		l.line.Push(p)
 	}

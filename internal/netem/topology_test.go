@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"libra/internal/cc"
+	"libra/internal/sim"
 	"libra/internal/telemetry"
 	"libra/internal/trace"
 )
@@ -305,5 +306,49 @@ func TestECNCoDelMiddleHop(t *testing.T) {
 	}
 	if ctrl.ECECount == 0 {
 		t.Fatal("no CE marks echoed to the sender across the route")
+	}
+}
+
+// extraDelay is a fault injector that gives every packet the same
+// ExtraDelay.
+type extraDelay time.Duration
+
+func (extraDelay) Bind(*sim.Engine, telemetry.Tracer) {}
+func (d extraDelay) Ingress(time.Duration, int64, int) Verdict {
+	return Verdict{ExtraDelay: time.Duration(d)}
+}
+func (extraDelay) RateScale(time.Duration) float64 { return 1 }
+
+// TestExtraDelayAppliedOnce checks a fault's ExtraDelay delays the
+// packet on the faulted hop only: two 48 Mbps hops of 5 ms give a 20.5
+// ms minimum RTT (10 ms each way plus two 0.25 ms serializations), and
+// 10 ms of extra delay on the first hop adds 10 ms, not 10 ms per hop.
+func TestExtraDelayAppliedOnce(t *testing.T) {
+	minRTT := func(faults FaultInjector) time.Duration {
+		t.Helper()
+		tp, err := NewTopology(TopologyConfig{
+			Nodes: []string{"n0", "n1", "n2"},
+			Links: []LinkSpec{
+				{Label: "h0", From: "n0", To: "n1", Capacity: trace.Constant(trace.Mbps(48)), PropDelay: 5 * time.Millisecond, Faults: faults},
+				{Label: "h1", From: "n1", To: "n2", Capacity: trace.Constant(trace.Mbps(48)), PropDelay: 5 * time.Millisecond},
+			},
+			Seed: 7,
+		})
+		if err != nil {
+			t.Fatalf("NewTopology: %v", err)
+		}
+		route, err := tp.AddRoute("main", []string{"h0", "h1"}, -1)
+		if err != nil {
+			t.Fatalf("AddRoute: %v", err)
+		}
+		f := tp.AddFlowOn(route, cc.FixedRate{R: trace.Mbps(4)}, 0, 0)
+		tp.Run(2 * time.Second)
+		return f.Stats.MinRTT
+	}
+	if got, want := minRTT(nil), 20500*time.Microsecond; got != want {
+		t.Fatalf("clean min RTT = %v, want %v", got, want)
+	}
+	if got, want := minRTT(extraDelay(10*time.Millisecond)), 30500*time.Microsecond; got != want {
+		t.Fatalf("min RTT with 10ms extra delay on the first hop = %v, want %v", got, want)
 	}
 }

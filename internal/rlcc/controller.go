@@ -214,15 +214,6 @@ func New(name string, cfg Config) *Controller {
 	}
 }
 
-func init() {
-	cc.Register("aurora", func(cfg cc.Config) cc.Controller {
-		return New("aurora", AuroraConfig(cfg))
-	})
-	cc.Register("rl", func(cfg cc.Config) cc.Controller {
-		return New("rl", Config{CC: cfg, Seed: cfg.Seed})
-	})
-}
-
 // Name implements cc.Controller.
 func (r *Controller) Name() string { return r.name }
 

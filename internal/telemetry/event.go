@@ -70,8 +70,8 @@ const (
 	// trace-event JSON for Perfetto.
 	TypeSpan Type = "span"
 	// TypeAnomaly marks a detected incident: Reason is one of
-	// "panic", "outage", "rate_collapse", "no_ack_streak",
-	// "utility_regression". The flight recorder dumps its ring when one
+	// "panic", "rate_collapse", "no_ack_streak", "utility_regression"
+	// or "lab_worst_case". The flight recorder dumps its ring when one
 	// passes through, so the seconds leading up to the incident are
 	// preserved even when full tracing is off.
 	TypeAnomaly Type = "anomaly"
@@ -92,7 +92,6 @@ const (
 // Anomaly reasons carried by TypeAnomaly events.
 const (
 	AnomalyPanic       = "panic"
-	AnomalyOutage      = "outage"
 	AnomalyCollapse    = "rate_collapse"
 	AnomalyNoAckStreak = "no_ack_streak"
 	AnomalyRegression  = "utility_regression"

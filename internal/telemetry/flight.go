@@ -35,18 +35,15 @@ type flightRing struct {
 	buf  []stampedEvent
 	head int // next write slot
 	n    int // live entries (== len(buf) once wrapped)
-	// outage latches one dump per no-ACK outage episode: set on the
-	// first decay event, cleared by recovery, so a long blackout does
-	// not write a file per silent cycle.
-	outage bool
 }
 
 // FlightRecorder is an always-on, bounded tracer: it retains the last
 // PerFlow events per flow (plus the link's own ring under flow -1) in
 // fixed-size ring buffers and writes a merged JSONL snapshot —
 // flight-<flow>-<simtime>.jsonl — whenever an anomaly passes through
-// the stream or TriggerDump is called. Steady state is allocation-free
-// after each flow's first event; rings never grow.
+// the stream or TriggerDump is called (the analyzer's detectors, the
+// no-ACK outage trigger among them, call it). Steady state is
+// allocation-free after each flow's first event; rings never grow.
 //
 // FlightRecorder composes via Multi like any Tracer and shares the
 // single-emitter contract: it must only see one goroutine's stream. In
@@ -91,7 +88,7 @@ func (f *FlightRecorder) Enabled() bool { return true }
 
 // Emit implements Tracer: append to the flow's ring (evicting the
 // oldest entry once full) and self-trigger a dump when the event is an
-// anomaly or the first decay cycle of a no-ACK outage.
+// anomaly.
 func (f *FlightRecorder) Emit(e *Event) {
 	f.seq++
 	r := f.rings[e.Flow]
@@ -110,19 +107,8 @@ func (f *FlightRecorder) Emit(e *Event) {
 		r.head = 0
 	}
 
-	switch e.Type {
-	case TypeAnomaly:
+	if e.Type == TypeAnomaly {
 		f.TriggerDump(e.Flow, e.T, e.Reason)
-	case TypeNoAck:
-		switch e.Reason {
-		case "decay":
-			if !r.outage {
-				r.outage = true
-				f.TriggerDump(e.Flow, e.T, AnomalyOutage)
-			}
-		case "recover":
-			r.outage = false
-		}
 	}
 }
 

@@ -83,31 +83,6 @@ func TestFlightDumpMergesLinkRing(t *testing.T) {
 	}
 }
 
-// TestFlightOutageLatch checks the no-ACK trigger fires once per outage
-// episode: repeated decay cycles inside one blackout produce one dump,
-// and a recover event re-arms the latch for the next outage.
-func TestFlightOutageLatch(t *testing.T) {
-	dir := t.TempDir()
-	fl := NewFlightRecorder(FlightConfig{Dir: dir})
-	for i := 0; i < 3; i++ {
-		fl.Emit(&Event{T: int64(100 + i), Type: TypeNoAck, Flow: 0, Reason: "decay"})
-	}
-	if got := fl.Dumps(); got != 1 {
-		t.Fatalf("after 3 decay cycles: %d dumps, want 1 (latched)", got)
-	}
-	fl.Emit(&Event{T: 200, Type: TypeNoAck, Flow: 0, Reason: "recover"})
-	fl.Emit(&Event{T: 300, Type: TypeNoAck, Flow: 0, Reason: "decay"})
-	if got := fl.Dumps(); got != 2 {
-		t.Fatalf("after recover + new decay: %d dumps, want 2", got)
-	}
-	// The latched dump carries the synthesized outage reason.
-	evs := readDump(t, filepath.Join(dir, "flight-0-100.jsonl"))
-	last := evs[len(evs)-1]
-	if last.Type != TypeAnomaly || last.Reason != AnomalyOutage {
-		t.Fatalf("dump tail = %s/%s, want anomaly/%s", last.Type, last.Reason, AnomalyOutage)
-	}
-}
-
 // TestFlightAnomalySelfTrigger checks an in-stream anomaly event cuts a
 // dump whose tail is that event itself, with no duplicate appended.
 func TestFlightAnomalySelfTrigger(t *testing.T) {
@@ -180,7 +155,7 @@ func TestFlightCountersRegister(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		fl.Emit(&Event{T: int64(i), Type: TypeStage, Flow: 0})
 	}
-	fl.Emit(&Event{T: 4, Type: TypeAnomaly, Flow: 0, Reason: AnomalyOutage})
+	fl.Emit(&Event{T: 4, Type: TypeAnomaly, Flow: 0, Reason: AnomalyNoAckStreak})
 	snap := reg.Snapshot()
 	if got := snap.Counters["libra_flight_evictions_total"]; got != 2 {
 		t.Errorf("libra_flight_evictions_total = %d, want 2", got)

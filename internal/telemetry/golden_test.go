@@ -31,7 +31,7 @@ func goldenRegistry() *Registry {
 	for i := 0; i < 3; i++ {
 		fl.Emit(&Event{T: int64(i), Type: TypeStage, Flow: 0})
 	}
-	fl.Emit(&Event{T: 4, Type: TypeAnomaly, Flow: 0, Reason: AnomalyOutage})
+	fl.Emit(&Event{T: 4, Type: TypeAnomaly, Flow: 0, Reason: AnomalyNoAckStreak})
 
 	// Health gauges, sampled from a deterministic source. Wall-clock
 	// rates and runtime stats are overwritten with fixed values after

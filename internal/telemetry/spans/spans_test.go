@@ -72,7 +72,7 @@ func feed(b *Builder, base int64) {
 		{T: base + 30, Type: telemetry.TypeDecision, Flow: 0, Winner: "x_cl", UPrev: 1, UCl: 2},
 		{T: base + 30, Type: telemetry.TypeSpan, Flow: 0, Reason: telemetry.SpanEnd, Name: "cycle"},
 		{T: base + 35, Type: telemetry.TypeQueue, Flow: -1, Queue: 3000, Rate: 12e6},
-		{T: base + 40, Type: telemetry.TypeAnomaly, Flow: 0, Reason: telemetry.AnomalyOutage},
+		{T: base + 40, Type: telemetry.TypeAnomaly, Flow: 0, Reason: telemetry.AnomalyNoAckStreak},
 		{T: base + 50, Type: telemetry.TypeSpan, Flow: 0, Reason: telemetry.SpanEnd, Name: "flow:c-libra"},
 		{T: base + 50, Type: telemetry.TypeSpan, Flow: -1, Reason: telemetry.SpanEnd, Name: "scenario:step"},
 	}

@@ -17,7 +17,7 @@ func validStream(t *testing.T) []byte {
 		{T: 1, Type: TypeStage, Flow: 0, Stage: "explore", Rate: 1e6},
 		{T: 2, Type: TypeDecision, Flow: 1, Winner: "x_cl", UPrev: 1.5},
 		{T: 3, Type: TypeSpan, Flow: -1, Reason: SpanBegin, Name: "scenario:test"},
-		{T: 4, Type: TypeAnomaly, Flow: 0, Reason: AnomalyOutage},
+		{T: 4, Type: TypeAnomaly, Flow: 0, Reason: AnomalyNoAckStreak},
 	} {
 		rec.Emit(&e)
 	}

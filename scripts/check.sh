@@ -11,6 +11,9 @@ cd "$(dirname "$0")/.."
 unformatted=$(gofmt -l $(git ls-files '*.go'))
 test -z "$unformatted" || { echo "gofmt needed on: $unformatted" >&2; exit 1; }
 go vet ./...
+# The benchmark is its own module, so the root vet and build never
+# compile it; vet compiles it against the current API and runs nothing.
+(cd benchmark && go vet ./...)
 go build ./...
 go test -race ./...
 # Fault-injection paths again under the race detector with full (non
@@ -66,8 +69,8 @@ go run ./cmd/libra-trace -validate "$tmp/train.jsonl"
 rm -rf "$tmp"
 # Robustness-lab smoke (tiny budgets, 2 CCAs): adversarial search, a
 # replay of the discovered spec with a forensic flight dump, and a
-# deterministic tournament leaderboard. Then record the lab's
-# scenarios/sec into BENCH_lab.json with the throughput floor armed.
+# deterministic tournament leaderboard. Then measure the lab's
+# scenarios/sec with the throughput floor armed.
 tmp=$(mktemp -d)
 go run ./cmd/libra-lab search -cca cubic -budget 16 -dur 3s -seed 7 -o "$tmp/worst.json" -flight-out "$tmp/dumps"
 go run ./cmd/libra-lab replay -spec "$tmp/worst.json"
