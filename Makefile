@@ -26,14 +26,15 @@ bench-guard:
 	ANALYZE_BENCH_GUARD=1 $(GO) test ./internal/analyze/ -run TestFeedBudget -count=1 -v
 
 # Event-engine hot path: asserts 0 allocs/event and the 250 ns/event
-# budget on the pooled-callback scheduling path and on the delay-line +
-# deadline path, 0 allocs in a warm end-to-end netem run, and a heap
-# bounded by the network's shape (flows, links, routes), not by the
-# packets in flight. The flight-recorder and time-series guards ride
-# along: each feed must stay 0 allocs and <= 50 ns/event. These are
-# pass/fail guards; timings come from the repository benchmark (bash
-# benchmark/run.sh). Run in isolation for the same reason as
-# bench-guard.
+# budget on each of the engine's three paths (a self-rescheduling
+# callback, delay-line delivery with an RTO-style deadline re-set, and
+# the pacing deadline's set-fire-set cycle), 0 allocs in a warm
+# end-to-end netem run, and a heap bounded by the network's shape
+# (flows, links, routes), not by the packets in flight. The
+# flight-recorder and time-series guards ride along: each feed must
+# stay 0 allocs and <= 50 ns/event. These are pass/fail guards; timings
+# come from the repository benchmark (bash benchmark/run.sh). Run in
+# isolation for the same reason as bench-guard.
 bench-core:
 	CORE_BENCH_GUARD=1 $(GO) test ./internal/sim/ -run TestEngineBudget -count=1 -v
 	$(GO) test ./internal/netem/ -run 'TestNetemSteadyStateAllocs|TestEngineHeapBound' -count=1 -v

@@ -8,13 +8,14 @@
 // queue percentiles, windowed Jain fairness across flows, and anomaly
 // flags (post-blackout rate collapse, no-ACK streaks, utility
 // regressions). A sweep's stream holds many runs whose flow IDs
-// restart at 0; the detectors are scoped to one run, which ends at the
-// harness's scenario span.
+// restart at 0; the detectors and the fairness windows are scoped to one
+// run, which ends at the harness's scenario span.
 //
 // Memory discipline: nothing is retained per event. State is O(flows)
-// sketches and counters plus O(windows × flows) fairness accumulators
-// — a few KB per flow for arbitrarily long traces — and the steady-
-// state feed path performs no allocation (guarded by TestFeedBudget).
+// sketches and counters, the open run's O(windows × flows) fairness
+// accumulators and one Jain value per closed window — a few KB per flow
+// for arbitrarily long traces — and the steady-state feed path performs
+// no allocation (guarded by TestFeedBudget).
 //
 // Determinism: analyses merge (Merge) by pure count/bucket addition
 // in caller-fixed order, so a multi-file analysis produces
@@ -225,6 +226,56 @@ type window struct {
 	bytes map[int]int64
 }
 
+// addWindows adds src's per-flow bytes into dst by window index; src is
+// left untouched.
+func addWindows(dst, src map[int64]*window) {
+	for idx, sw := range src {
+		dw, ok := dst[idx]
+		if !ok {
+			dw = &window{bytes: make(map[int]int64, len(sw.bytes))}
+			dst[idx] = dw
+		}
+		for f, n := range sw.bytes {
+			dw.bytes[f] += n
+		}
+	}
+}
+
+// appendJains appends the Jain index of every window in wins, in window
+// order, over the flows that sent in any of them (a flow silent in one
+// window counts as zero there). Windows nobody sent in are skipped.
+func appendJains(dst []float64, wins map[int64]*window) []float64 {
+	sent := make(map[int]int64, 4)
+	idxs := make([]int64, 0, len(wins))
+	for idx, w := range wins {
+		idxs = append(idxs, idx)
+		for id, n := range w.bytes {
+			sent[id] += n
+		}
+	}
+	senders := make([]int, 0, len(sent))
+	for id, n := range sent {
+		if n > 0 {
+			senders = append(senders, id)
+		}
+	}
+	sort.Ints(senders)
+	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+	alloc := make([]float64, len(senders))
+	for _, idx := range idxs {
+		w := wins[idx]
+		var total int64
+		for i, id := range senders {
+			alloc[i] = float64(w.bytes[id])
+			total += w.bytes[id]
+		}
+		if total > 0 {
+			dst = append(dst, stats.JainIndex(alloc))
+		}
+	}
+	return dst
+}
+
 // Analyzer is the engine. It implements telemetry.Tracer so it can
 // tap a live event stream; Emit is mutex-guarded because the live
 // dashboard reads snapshots concurrently with the (single-threaded)
@@ -237,9 +288,15 @@ type Analyzer struct {
 	flows  map[int]*flowState
 	link   linkState
 	links  map[string]*linkState // per labelled link, multi-hop traces only
-	wins   map[int64]*window
-	slo    []map[int64]*sloWin // per RTT-based spec, by window index
-	lastT  int64
+	// wins are the open run's fairness windows, by index; jains holds
+	// the per-window Jain index of every run closed so far, in order,
+	// and past those runs' windows pooled by index, which the throughput
+	// SLOs read.
+	wins  map[int64]*window
+	jains []float64
+	past  map[int64]*window
+	slo   []map[int64]*sloWin // per RTT-based spec, by window index
+	lastT int64
 }
 
 // New returns an empty analyzer.
@@ -251,6 +308,7 @@ func New(cfg Config) *Analyzer {
 		link:   newLinkState(),
 		links:  make(map[string]*linkState, 4),
 		wins:   make(map[int64]*window, 64),
+		past:   make(map[int64]*window),
 	}
 	a.slo = make([]map[int64]*sloWin, len(a.cfg.SLOs))
 	for i := range a.slo {
@@ -403,10 +461,14 @@ func (a *Analyzer) feed(e *telemetry.Event) {
 }
 
 // endRun closes one harness run at its scenario span end: open
-// recovery watches resolve at t, and every flow's detector state
-// starts afresh, since the next run reuses the flow IDs. Callers hold
-// a.mu.
+// recovery watches resolve at t, the run's fairness windows fold into
+// per-window Jain values over its own senders, and every flow's
+// detector state starts afresh, since the next run reuses the flow IDs
+// and window indices. Callers hold a.mu.
 func (a *Analyzer) endRun(t int64) {
+	a.jains = appendJains(a.jains, a.wins)
+	addWindows(a.past, a.wins)
+	clear(a.wins)
 	for _, fs := range a.sortedFlows() {
 		if fs.watching {
 			a.closeWatch(fs, t)
@@ -600,12 +662,13 @@ func (a *Analyzer) Finalize() {
 }
 
 // Merge folds b into a (b is left untouched but must not be feeding
-// concurrently). Counts and sums add, sketches merge bucket-wise,
-// fairness windows union by window index, max streaks take the max.
-// Order-sensitive detector state (EWMAs, open stages, pending
-// watches) does not carry across shards — Finalize each shard first.
-// Merging in a fixed shard order yields byte-identical reports at any
-// worker count.
+// concurrently). Counts and sums add, sketches merge bucket-wise, max
+// streaks take the max. Closed runs' fairness values append after a's;
+// the open run's windows union by window index, so flow-disjoint shards
+// of one run merge exactly. Order-sensitive detector state (EWMAs, open
+// stages, pending watches) does not carry across shards — Finalize each
+// shard first. Merging in a fixed shard order yields byte-identical
+// reports at any worker count.
 func (a *Analyzer) Merge(b *Analyzer) {
 	if b == nil || b == a {
 		return
@@ -685,16 +748,9 @@ func (a *Analyzer) Merge(b *Analyzer) {
 		al.faultPkt += bl.faultPkt
 		al.blackouts += bl.blackouts
 	}
-	for idx, bw := range b.wins {
-		aw, ok := a.wins[idx]
-		if !ok {
-			aw = &window{bytes: make(map[int]int64, len(bw.bytes))}
-			a.wins[idx] = aw
-		}
-		for f, n := range bw.bytes {
-			aw.bytes[f] += n
-		}
-	}
+	a.jains = append(a.jains, b.jains...)
+	addWindows(a.wins, b.wins)
+	addWindows(a.past, b.past)
 	for si := range b.slo {
 		if si >= len(a.slo) {
 			break // differing configs; keep a's spec view

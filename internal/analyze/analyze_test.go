@@ -432,10 +432,13 @@ func TestNoAckStreakOncePerOutage(t *testing.T) {
 }
 
 // TestDetectorsScopedToRun checks that a stream holding two runs, whose
-// flow IDs restart at 0, gives the detections of the two runs analysed
-// apart. Run a ends with flow 0's recovery watch open (a collapse) and
-// flow 1 mid-outage, at a high utility; run b opens at a low but steady
-// utility and flow 1 decays again.
+// flow IDs restart at 0, gives the detections and the fairness of the
+// two runs analysed apart. Run a ends with flow 0's recovery watch open
+// (a collapse) and flow 1 mid-outage, at a high utility; run b opens at
+// a low but steady utility and flow 1 decays again. In each run's first
+// window one flow sends three times the other's bytes (Jain 0.8), flow
+// 0 in run a and flow 1 in run b, so pooling the runs' windows by index
+// would read one even window (Jain 1).
 func TestDetectorsScopedToRun(t *testing.T) {
 	ms := func(n int64) int64 { return n * int64(time.Millisecond) }
 	decide := func(t int64, flow int, xprev, u float64) telemetry.Event {
@@ -447,7 +450,11 @@ func TestDetectorsScopedToRun(t *testing.T) {
 	end := func(name string) telemetry.Event {
 		return telemetry.Event{T: ms(1000), Type: telemetry.TypeSpan, Flow: -1, Reason: telemetry.SpanEnd, Name: "scenario:" + name}
 	}
-	var runA, runB []telemetry.Event
+	send := func(t int64, flow int, bytes int64) telemetry.Event {
+		return telemetry.Event{T: ms(t), Type: telemetry.TypeEnqueue, Flow: flow, Bytes: bytes}
+	}
+	runA := []telemetry.Event{send(100, 0, 3000), send(101, 1, 1000)}
+	runB := []telemetry.Event{send(100, 0, 1000), send(101, 1, 3000)}
 	for i := int64(1); i <= 10; i++ {
 		runA = append(runA, decide(40*i, 0, 1.25e6, 50), decide(40*i+1, 1, 1.25e6, 50))
 	}
@@ -464,7 +471,7 @@ func TestDetectorsScopedToRun(t *testing.T) {
 		t      int64
 		reason string
 	}
-	analyse := func(runs ...[]telemetry.Event) []hit {
+	analyse := func(runs ...[]telemetry.Event) ([]hit, *Analyzer) {
 		var hits []hit
 		a := New(Config{OnAnomaly: func(flow int, t int64, reason string) {
 			hits = append(hits, hit{flow, t, reason})
@@ -475,9 +482,11 @@ func TestDetectorsScopedToRun(t *testing.T) {
 			}
 		}
 		a.Finalize()
-		return hits
+		return hits, a
 	}
-	apart := append(analyse(runA), analyse(runB)...)
+	hitsA, anA := analyse(runA)
+	hitsB, anB := analyse(runB)
+	apart := append(hitsA, hitsB...)
 	want := []hit{
 		{0, ms(480), telemetry.AnomalyNoAckStreak},
 		{1, ms(500), telemetry.AnomalyNoAckStreak},
@@ -487,7 +496,20 @@ func TestDetectorsScopedToRun(t *testing.T) {
 	if !reflect.DeepEqual(apart, want) {
 		t.Fatalf("runs analysed apart fired %v, want %v", apart, want)
 	}
-	if whole := analyse(runA, runB); !reflect.DeepEqual(whole, want) {
+	whole, anWhole := analyse(runA, runB)
+	if !reflect.DeepEqual(whole, want) {
 		t.Fatalf("runs analysed together fired %v, want %v", whole, want)
+	}
+
+	merged := New(Config{})
+	merged.Merge(anA)
+	merged.Merge(anB)
+	apartFair := merged.Report().Fairness
+	if apartFair.Flows != 2 || apartFair.Windows != 2 || math.Abs(apartFair.Mean-0.8) > 1e-12 ||
+		math.Abs(apartFair.Min-0.8) > 1e-12 || apartFair.Below90 != 2 {
+		t.Fatalf("runs analysed apart and merged: fairness %+v, want 2 flows, 2 windows at Jain 0.8", apartFair)
+	}
+	if got := anWhole.Report().Fairness; got != apartFair {
+		t.Fatalf("runs analysed together: fairness %+v, apart %+v", got, apartFair)
 	}
 }

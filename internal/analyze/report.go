@@ -266,43 +266,22 @@ func (a *Analyzer) flowReport(fs *flowState) FlowReport {
 	return fr
 }
 
-// fairnessReport computes the windowed Jain index over every flow
-// that sent data anywhere in the trace (absent flows count as zero in
-// a window — a silent flow is unfairness, not a smaller denominator).
-// Callers hold a.mu.
+// fairnessReport summarises the windowed Jain index of every run: each
+// window's index is over the flows that sent in its run (absent flows
+// count as zero in a window — a silent flow is unfairness, not a
+// smaller denominator). Flows counts the flow IDs that sent anywhere
+// in the trace. The open run counts as it stands. Callers hold a.mu.
 func (a *Analyzer) fairnessReport(ids []int) FairnessReport {
 	fr := FairnessReport{WindowMs: float64(a.cfg.Window) / 1e6}
-	senders := make([]int, 0, len(ids))
 	for _, id := range ids {
 		if a.flows[id].sentBytes > 0 {
-			senders = append(senders, id)
+			fr.Flows++
 		}
 	}
-	fr.Flows = len(senders)
-	if len(senders) == 0 || len(a.wins) == 0 {
-		return fr
-	}
-	idxs := make([]int64, 0, len(a.wins))
-	for idx := range a.wins {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	alloc := make([]float64, len(senders))
-	jains := make([]float64, 0, len(idxs))
+	jains := appendJains(append([]float64(nil), a.jains...), a.wins)
 	var sum float64
 	min := 1.0
-	for _, idx := range idxs {
-		w := a.wins[idx]
-		var total int64
-		for i, id := range senders {
-			alloc[i] = float64(w.bytes[id])
-			total += w.bytes[id]
-		}
-		if total == 0 {
-			continue
-		}
-		j := stats.JainIndex(alloc)
-		jains = append(jains, j)
+	for _, j := range jains {
 		sum += j
 		if j < min {
 			min = j

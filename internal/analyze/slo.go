@@ -270,6 +270,19 @@ func (a *Analyzer) profileReports() ([]ProfileReport, *ProfileFairness) {
 	return out, pf
 }
 
+// pooledWindows returns every run's fairness windows pooled by window
+// index, the view the throughput SLOs are evaluated on. Callers hold
+// a.mu.
+func (a *Analyzer) pooledWindows() map[int64]*window {
+	if len(a.past) == 0 {
+		return a.wins
+	}
+	all := make(map[int64]*window, len(a.past))
+	addWindows(all, a.past)
+	addWindows(all, a.wins)
+	return all
+}
+
 // sloReports evaluates every configured spec whose profile appears in
 // the stream, in config order. Callers hold a.mu.
 func (a *Analyzer) sloReports() []SLOReport {
@@ -312,13 +325,14 @@ func (a *Analyzer) sloReports() []SLOReport {
 			// traffic anywhere are dead air (post-run tail), not
 			// violations; windows where others sent and this profile
 			// didn't count against it.
-			idxs := make([]int64, 0, len(a.wins))
-			for idx := range a.wins {
+			wins := a.pooledWindows()
+			idxs := make([]int64, 0, len(wins))
+			for idx := range wins {
 				idxs = append(idxs, idx)
 			}
 			sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
 			for _, idx := range idxs {
-				w := a.wins[idx]
+				w := wins[idx]
 				var total, mine int64
 				for f, n := range w.bytes {
 					total += n

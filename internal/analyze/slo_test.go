@@ -133,45 +133,53 @@ func sloTestConfig() Config {
 	}}
 }
 
+// The run reads the same whether its scenario span end closes it or the
+// stream leaves it open.
 func TestSLOAttainment(t *testing.T) {
-	a := New(sloTestConfig())
-	sloTrace(a)
-	a.Finalize()
-	r := a.Report()
+	for _, closed := range []bool{false, true} {
+		a := New(sloTestConfig())
+		sloTrace(a)
+		if closed {
+			a.Emit(&telemetry.Event{T: int64(2100 * time.Millisecond), Type: telemetry.TypeSpan,
+				Flow: -1, Reason: telemetry.SpanEnd, Name: "scenario:slo"})
+		}
+		a.Finalize()
+		r := a.Report()
 
-	if len(r.SLOs) != 3 {
-		t.Fatalf("SLO reports = %d (%+v), want 3 (ghost profile absent from stream)", len(r.SLOs), r.SLOs)
-	}
-	check := func(i int, windows, met int, attain, firstMs float64) {
-		t.Helper()
-		s := r.SLOs[i]
-		if s.Windows != windows || s.Met != met {
-			t.Errorf("%s: windows/met = %d/%d, want %d/%d", s.Spec, s.Windows, s.Met, windows, met)
+		if len(r.SLOs) != 3 {
+			t.Fatalf("closed=%v: SLO reports = %d (%+v), want 3 (ghost profile absent from stream)", closed, len(r.SLOs), r.SLOs)
 		}
-		if math.Abs(s.Attainment-attain) > 1e-9 {
-			t.Errorf("%s: attainment = %v, want %v", s.Spec, s.Attainment, attain)
+		check := func(i int, windows, met int, attain, firstMs float64) {
+			t.Helper()
+			s := r.SLOs[i]
+			if s.Windows != windows || s.Met != met {
+				t.Errorf("closed=%v: %s: windows/met = %d/%d, want %d/%d", closed, s.Spec, s.Windows, s.Met, windows, met)
+			}
+			if math.Abs(s.Attainment-attain) > 1e-9 {
+				t.Errorf("closed=%v: %s: attainment = %v, want %v", closed, s.Spec, s.Attainment, attain)
+			}
+			if s.FirstViolationMs != firstMs {
+				t.Errorf("closed=%v: %s: first violation = %v ms, want %v", closed, s.Spec, s.FirstViolationMs, firstMs)
+			}
 		}
-		if s.FirstViolationMs != firstMs {
-			t.Errorf("%s: first violation = %v ms, want %v", s.Spec, s.FirstViolationMs, firstMs)
-		}
-	}
-	check(0, 2, 1, 0.5, 1000)   // p95: window 1 violates
-	check(1, 2, 2, 1, -1)       // mean RTT holds everywhere
-	check(2, 3, 1, 1.0/3, 1000) // floor: windows 1 and 2 violate
+		check(0, 2, 1, 0.5, 1000)   // p95: window 1 violates
+		check(1, 2, 2, 1, -1)       // mean RTT holds everywhere
+		check(2, 3, 1, 1.0/3, 1000) // floor: windows 1 and 2 violate
 
-	if len(r.Profiles) != 2 || r.Profiles[0].Profile != "lat" || r.Profiles[1].Profile != "thr" {
-		t.Fatalf("profiles = %+v, want [lat thr]", r.Profiles)
-	}
-	if got := r.Profiles[0].Flows; len(got) != 1 || got[0] != 0 {
-		t.Errorf("lat flows = %v, want [0]", got)
-	}
-	// flow 1 sent 201 kB over the 2.1 s span = ~0.766 Mbit/s.
-	if want := 201000 * 8.0 / 1e6 / 2.1; math.Abs(r.Profiles[1].MeanThrMbps-want) > 1e-9 {
-		t.Errorf("thr mean throughput = %v, want %v", r.Profiles[1].MeanThrMbps, want)
-	}
-	if r.ProfileFairness == nil || r.ProfileFairness.Profiles != 2 ||
-		r.ProfileFairness.Jain <= 0 || r.ProfileFairness.Jain > 1 {
-		t.Errorf("profile fairness = %+v, want 2 profiles with Jain in (0,1]", r.ProfileFairness)
+		if len(r.Profiles) != 2 || r.Profiles[0].Profile != "lat" || r.Profiles[1].Profile != "thr" {
+			t.Fatalf("closed=%v: profiles = %+v, want [lat thr]", closed, r.Profiles)
+		}
+		if got := r.Profiles[0].Flows; len(got) != 1 || got[0] != 0 {
+			t.Errorf("closed=%v: lat flows = %v, want [0]", closed, got)
+		}
+		// flow 1 sent 201 kB over the 2.1 s span = ~0.766 Mbit/s.
+		if want := 201000 * 8.0 / 1e6 / 2.1; math.Abs(r.Profiles[1].MeanThrMbps-want) > 1e-9 {
+			t.Errorf("closed=%v: thr mean throughput = %v, want %v", closed, r.Profiles[1].MeanThrMbps, want)
+		}
+		if r.ProfileFairness == nil || r.ProfileFairness.Profiles != 2 ||
+			r.ProfileFairness.Jain <= 0 || r.ProfileFairness.Jain > 1 {
+			t.Errorf("closed=%v: profile fairness = %+v, want 2 profiles with Jain in (0,1]", closed, r.ProfileFairness)
+		}
 	}
 }
 

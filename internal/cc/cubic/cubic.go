@@ -187,6 +187,3 @@ func (c *Cubic) SetWindow(bytes float64) {
 	}
 	c.inEpoch = false
 }
-
-// SlowStart reports whether the controller is still below ssthresh.
-func (c *Cubic) SlowStart() bool { return c.cwnd < c.ssthresh }

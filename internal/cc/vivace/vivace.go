@@ -87,12 +87,6 @@ func New(cfg cc.Config) *Vivace { return newWith(cfg, "vivace", utility.DefaultV
 // deviation-penalising utility).
 func NewProteus(cfg cc.Config) *Vivace { return newWith(cfg, "proteus", utility.DefaultProteus()) }
 
-// NewWithUtility returns the Vivace machinery driven by an arbitrary
-// utility function (used by clean-slate baselines).
-func NewWithUtility(cfg cc.Config, name string, u utility.Func) *Vivace {
-	return newWith(cfg, name, u)
-}
-
 func newWith(cfg cc.Config, name string, u utility.Func) *Vivace {
 	cfg = cfg.WithDefaults()
 	v := &Vivace{

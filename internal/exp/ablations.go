@@ -82,7 +82,7 @@ func runAblClassics(rc *RunContext) *Report {
 	}
 
 	ms := Sweep(rc, len(variants)*len(scens), func(jc *RunContext, i int) Metrics {
-		return jc.RunFlow(scens[i%len(scens)], mustMaker(variants[i/len(scens)].cca, jc.agents(), nil), 0)
+		return jc.RunFlow(scens[i%len(scens)], CCAMaker(variants[i/len(scens)].cca, nil)(jc), 0)
 	})
 
 	tbl := Table{Name: "Libra over different classic CCAs (avg of 4 scenarios)",
@@ -130,7 +130,7 @@ func runSec7(rc *RunContext) *Report {
 	scens := []Scenario{sat, fiveG}
 
 	ms := Sweep(rc, len(scens)*len(ccas), func(jc *RunContext, i int) Metrics {
-		return jc.RunFlow(scens[i/len(ccas)], mustMaker(ccas[i%len(ccas)], jc.agents(), nil), 0)
+		return jc.RunFlow(scens[i/len(ccas)], CCAMaker(ccas[i%len(ccas)], nil)(jc), 0)
 	})
 
 	var tables []Table

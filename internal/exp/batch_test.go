@@ -25,12 +25,11 @@ func batchSuite(t *testing.T, agents *AgentSet, workers int, noBatch bool) (stri
 	rc.Tracer = rec
 	s := WiredScenarios(3*time.Second, 24)[0]
 	mss := Sweep(rc, 2, func(jc *RunContext, i int) []Metrics {
-		ag := jc.agents()
 		mks := []Maker{
-			mustMaker("aurora", ag, nil),
-			mustMaker("aurora", ag, nil),
-			mustMaker("mod-rl", ag, nil),
-			mustMaker("orca", ag, nil),
+			CCAMaker("aurora", nil)(jc),
+			CCAMaker("aurora", nil)(jc),
+			CCAMaker("mod-rl", nil)(jc),
+			CCAMaker("orca", nil)(jc),
 		}
 		return jc.RunFlows(s, mks, nil, 0)
 	})

@@ -265,16 +265,22 @@ func Sweep[T any](rc *RunContext, n int, job func(jc *RunContext, i int) T) []T 
 }
 
 // CCAMaker returns a job-scoped controller factory for the named CCA:
-// called with a job context, it resolves the job's (cloned) agent set
-// and builds the maker there, keeping agent state private to the job.
-// It is the standard argument to Repeat and the common body of Sweep
-// jobs; the name must be known (it panics like mustMaker otherwise).
+// called with a job context, it builds the maker there, resolving the
+// job's (cloned) agent set only for a controller that runs a trained
+// policy, so agent state stays private to the job and a job of classic
+// controllers clones nothing. It is how every experiment builds its
+// controllers, the standard argument to Repeat and the common body of
+// Sweep jobs; it panics on a name the controller table lacks.
 func CCAMaker(name string, util utility.Func) func(*RunContext) Maker {
 	return func(jc *RunContext) Maker {
 		var ag *AgentSet
 		if ccaUsesAgents(name) {
 			ag = jc.agents()
 		}
-		return mustMaker(name, ag, util)
+		mk, err := MakerFor(name, ag, util)
+		if err != nil {
+			panic(err)
+		}
+		return mk
 	}
 }

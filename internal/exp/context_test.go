@@ -53,6 +53,17 @@ func TestLazyAgentsCachedPerSeed(t *testing.T) {
 	}
 }
 
+// untrained builds the named controller over fresh, untrained policies,
+// for tests that run a learning controller without training an agent
+// set.
+func untrained(name string) Maker {
+	mk, err := MakerFor(name, nil, nil)
+	if err != nil {
+		panic(err)
+	}
+	return mk
+}
+
 func tinyAgents(t *testing.T) *AgentSet {
 	t.Helper()
 	return TrainAgentSet(TrainSpec{Seed: 1, Episodes: 2, EpisodeLen: 2 * time.Second,
@@ -120,7 +131,7 @@ func TestReseedDropsJobAgentClone(t *testing.T) {
 	s := WiredScenarios(2*time.Second, 12)[0]
 	ms := Sweep(rc, 3, func(jc *RunContext, i int) Metrics {
 		jc.Reseed(77)
-		return jc.RunFlow(s, mustMaker("cubic", nil, nil), 0)
+		return jc.RunFlow(s, CCAMaker("cubic", nil)(jc), 0)
 	})
 	for i := 1; i < len(ms); i++ {
 		if ms[i].Util != ms[0].Util || ms[i].ThrMbps != ms[0].ThrMbps {
@@ -139,7 +150,7 @@ func miniSuite(workers int, seed int64, tracer telemetry.Tracer) (string, teleme
 	s := WiredScenarios(2*time.Second, 12)[0]
 	const reps = 2
 	ms := Sweep(rc, len(ccas)*reps, func(jc *RunContext, i int) Metrics {
-		return jc.RunFlow(s, mustMaker(ccas[i/reps], nil, nil), 0)
+		return jc.RunFlow(s, CCAMaker(ccas[i/reps], nil)(jc), 0)
 	})
 	tbl := Table{Name: "mini", Cols: []string{"cca", "rep", "util", "thr", "delay", "loss"}}
 	for i, m := range ms {
@@ -213,7 +224,7 @@ func TestSweepRLPathEquivalence(t *testing.T) {
 		rc.Agents = agents
 		s := WiredScenarios(2*time.Second, 12)[0]
 		return Sweep(rc, 4, func(jc *RunContext, i int) float64 {
-			return jc.RunFlow(s, mustMaker("c-libra", jc.agents(), nil), 0).ThrMbps
+			return jc.RunFlow(s, CCAMaker("c-libra", nil)(jc), 0).ThrMbps
 		})
 	}
 	serial := run(1)

@@ -193,13 +193,3 @@ func ccaUsesAgents(name string) bool {
 	c, _ := lookup(name)
 	return c.agents
 }
-
-// mustMaker is MakerFor for statically known controller names (the
-// experiment definitions); it panics on a name the table lacks.
-func mustMaker(name string, ag *AgentSet, util utility.Func) Maker {
-	mk, err := MakerFor(name, ag, util)
-	if err != nil {
-		panic(err)
-	}
-	return mk
-}

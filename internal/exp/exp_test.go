@@ -105,11 +105,11 @@ func TestMakerForUnknownName(t *testing.T) {
 func TestRunFlowAndRepeat(t *testing.T) {
 	s := WiredScenarios(3*time.Second, 12)[0]
 	rc := NewRunContext(1)
-	m := rc.RunFlow(s, mustMaker("cubic", nil, nil), 0)
+	m := rc.RunFlow(s, CCAMaker("cubic", nil)(rc), 0)
 	if m.ThrMbps <= 0 || m.Util <= 0 {
 		t.Fatalf("metrics %+v", m)
 	}
-	ms := rc.Repeat(s, func(*RunContext) Maker { return mustMaker("cubic", nil, nil) }, 2)
+	ms := rc.Repeat(s, CCAMaker("cubic", nil), 2)
 	if len(ms) != 2 {
 		t.Fatal("repeat count")
 	}

@@ -28,7 +28,7 @@ func runFig1(rc *RunContext) *Report {
 	ms := Sweep(rc, len(ccas)*len(scenarios)*reps, func(jc *RunContext, i int) Metrics {
 		ci := i / (len(scenarios) * reps)
 		si := i / reps % len(scenarios)
-		return jc.RunFlow(scenarios[si], mustMaker(ccas[ci], jc.agents(), nil), 0)
+		return jc.RunFlow(scenarios[si], CCAMaker(ccas[ci], nil)(jc), 0)
 	})
 
 	tbl := Table{

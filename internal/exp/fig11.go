@@ -48,7 +48,7 @@ func runFig11(rc *RunContext) *Report {
 		ms := Sweep(rc, len(libras)*len(variants)*len(ss), func(jc *RunContext, i int) Metrics {
 			li := i / (len(variants) * len(ss))
 			vi := i / len(ss) % len(variants)
-			return jc.RunFlow(ss[i%len(ss)], mustMaker(libras[li], jc.agents(), variants[vi].U), 0)
+			return jc.RunFlow(ss[i%len(ss)], CCAMaker(libras[li], variants[vi].U)(jc), 0)
 		})
 		for li, lname := range libras {
 			for vi, v := range variants {
@@ -77,7 +77,7 @@ func runFig11(rc *RunContext) *Report {
 		rs := Sweep(rc, len(libras)*len(variants), func(jc *RunContext, i int) res {
 			li, vi := i/len(variants), i%len(variants)
 			ms := jc.RunFlows(s,
-				[]Maker{mustMaker(libras[li], jc.agents(), variants[vi].U), mustMaker("cubic", jc.agents(), nil)},
+				[]Maker{CCAMaker(libras[li], variants[vi].U)(jc), CCAMaker("cubic", nil)(jc)},
 				[]time.Duration{0, 0}, 0)
 			return res{share: ms[0].ThrMbps / (ms[0].ThrMbps + ms[1].ThrMbps), delay: ms[0].DelayMs}
 		})

@@ -45,7 +45,7 @@ func runFig12(rc *RunContext) *Report {
 			Buffer:   int(trace.Mbps(r) * 0.04),
 			Duration: dur,
 		}
-		return jc.RunFlow(s, mustMaker(ccas[i/len(rates)], jc.agents(), nil), 0).CPUFrac
+		return jc.RunFlow(s, CCAMaker(ccas[i/len(rates)], nil)(jc), 0).CPUFrac
 	})
 
 	tbl := Table{Name: "controller compute fraction (x1e-6 of sim time)",
@@ -102,7 +102,7 @@ func runFig13(rc *RunContext) *Report {
 	s := fairnessScenario(dur)
 
 	pairs := Sweep(rc, len(ccas), func(jc *RunContext, i int) []Metrics {
-		return jc.RunFlows(s, []Maker{mustMaker(ccas[i], jc.agents(), nil), mustMaker("cubic", jc.agents(), nil)},
+		return jc.RunFlows(s, []Maker{CCAMaker(ccas[i], nil)(jc), CCAMaker("cubic", nil)(jc)},
 			[]time.Duration{0, 0}, 0)
 	})
 	tbl := Table{Name: "CCA-under-test vs CUBIC", Cols: []string{"cca", "test share", "cubic share", "jain"}}
@@ -125,7 +125,7 @@ func runFig14(rc *RunContext) *Report {
 	s := fairnessScenario(dur)
 
 	pairs := Sweep(rc, len(ccas), func(jc *RunContext, i int) []Metrics {
-		return jc.RunFlows(s, []Maker{mustMaker(ccas[i], jc.agents(), nil), mustMaker(ccas[i], jc.agents(), nil)},
+		return jc.RunFlows(s, []Maker{CCAMaker(ccas[i], nil)(jc), CCAMaker(ccas[i], nil)(jc)},
 			[]time.Duration{0, 0}, 0)
 	})
 	tbl := Table{Name: "two same-CCA flows", Cols: []string{"cca", "flow1 share", "flow2 share", "jain"}}

@@ -32,7 +32,7 @@ func runFig15(rc *RunContext) *Report {
 	s := fairnessScenario(dur) // 48 Mbps, 100 ms, 1 BDP
 
 	runs := Sweep(rc, len(ccas), func(jc *RunContext, i int) []Metrics {
-		mk := mustMaker(ccas[i], jc.agents(), nil)
+		mk := CCAMaker(ccas[i], nil)(jc)
 		return jc.RunFlows(s, []Maker{mk, mk, mk},
 			[]time.Duration{0, 5 * time.Second, 10 * time.Second}, time.Second)
 	})
@@ -111,7 +111,7 @@ func runTab6(rc *RunContext) *Report {
 	utils := Sweep(rc, len(scens)*len(ccas)*trials, func(jc *RunContext, i int) float64 {
 		sci := i / (len(ccas) * trials)
 		ci := i / trials % len(ccas)
-		return jc.RunFlow(scens[sci].mk(jc.Seed), mustMaker(ccas[ci], jc.agents(), nil), 0).Util
+		return jc.RunFlow(scens[sci].mk(jc.Seed), CCAMaker(ccas[ci], nil)(jc), 0).Util
 	})
 
 	tbl := Table{Name: "link utilisation over repeated trials",

@@ -70,7 +70,7 @@ func runFig16(rc *RunContext) *Report {
 		type r struct{ thr, delay, loss float64 }
 		// Normalisation needs the whole CCA set, so it follows the sweep.
 		res := Sweep(rc, len(ccas), func(jc *RunContext, i int) r {
-			ms := jc.RunFlows(s, []Maker{mustMaker(ccas[i], jc.agents(), nil), func(seed int64) cc.Controller {
+			ms := jc.RunFlows(s, []Maker{CCAMaker(ccas[i], nil)(jc), func(seed int64) cc.Controller {
 				return cc.FixedRate{R: cross}
 			}}, []time.Duration{0, 0}, 0)
 			return r{ms[0].ThrMbps, ms[0].DelayMs, ms[0].LossRate}
@@ -123,7 +123,7 @@ func runFig17(rc *RunContext) *Report {
 	fracs := Sweep(rc, len(libras)*len(order)*reps, func(jc *RunContext, i int) [3]float64 {
 		li := i / (len(order) * reps)
 		si := i / reps % len(order)
-		m := jc.RunFlow(scens[order[si]](jc.Seed), mustMaker(libras[li], jc.agents(), nil), 0)
+		m := jc.RunFlow(scens[order[si]](jc.Seed), CCAMaker(libras[li], nil)(jc), 0)
 		lb := m.Ctrl.(*core.Libra)
 		tel := lb.Telemetry()
 		var f [3]float64
@@ -166,7 +166,7 @@ func runFig18(rc *RunContext) *Report {
 	series := Sweep(rc, len(names), func(jc *RunContext, i int) []float64 {
 		s := Scenario{Capacity: trace.NewLTE(trace.LTEWalking, dur, rc.Seed+7),
 			MinRTT: 30 * time.Millisecond, Buffer: 150_000, Duration: dur}
-		m := jc.RunFlow(s, mustMaker(names[i], jc.agents(), nil), time.Second)
+		m := jc.RunFlow(s, CCAMaker(names[i], nil)(jc), time.Second)
 		n := int(dur / time.Second)
 		out := make([]float64, n)
 		for t := 0; t < n; t++ {

@@ -53,7 +53,7 @@ func runFig2a(rc *RunContext) *Report {
 	ccas := []string{"proteus", "cl-libra", "c-libra", "orca"}
 
 	series := Sweep(rc, len(ccas), func(jc *RunContext, i int) []float64 {
-		m := jc.RunFlow(s, mustMaker(ccas[i], jc.agents(), nil), time.Second)
+		m := jc.RunFlow(s, CCAMaker(ccas[i], nil)(jc), time.Second)
 		return m.Flow.Stats.Throughput.Rates(int(dur / time.Second))
 	})
 
@@ -88,7 +88,7 @@ func runFig2b(rc *RunContext) *Report {
 			Buffer:   150_000,
 			Duration: dur,
 		}
-		return jc.RunFlow(s, mustMaker(ccas[i/reps], jc.agents(), nil), 0).Util
+		return jc.RunFlow(s, CCAMaker(ccas[i/reps], nil)(jc), 0).Util
 	})
 
 	points := []float64{0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0}
@@ -152,7 +152,7 @@ func runFig2c(rc *RunContext) *Report {
 		if i >= len(ccas) {
 			jc = jc.Reseed(sweep.SubSeed(rc.Seed, ci)).quiet()
 		}
-		m := jc.RunFlow(s, mustMaker(ccas[ci], jc.agents(), nil), 0)
+		m := jc.RunFlow(s, CCAMaker(ccas[ci], nil)(jc), 0)
 		return res{cpu: m.CPUFrac, mem: float64(controllerMemBytes(m.Ctrl)),
 			own: float64(ControllerOwnMemBytes(m.Ctrl))}
 	})

@@ -29,7 +29,7 @@ func runFig7(rc *RunContext) *Report {
 		// One job per (cca, scenario) flow; normalisation needs every
 		// result, so it runs after the sweep.
 		ms := Sweep(rc, len(ccas)*len(ss), func(jc *RunContext, i int) Metrics {
-			return jc.RunFlow(ss[i%len(ss)], mustMaker(ccas[i/len(ss)], jc.agents(), nil), 0)
+			return jc.RunFlow(ss[i%len(ss)], CCAMaker(ccas[i/len(ss)], nil)(jc), 0)
 		})
 		type agg struct{ thr, delay, loss float64 }
 		aggs := make([]agg, len(ccas))

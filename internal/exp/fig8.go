@@ -29,7 +29,7 @@ func runFig8(rc *RunContext) *Report {
 	tbl := Table{Name: "throughput (Mbps) per second vs capacity",
 		Cols: append([]string{"t(s)", "capacity"}, ccas...)}
 	series := Sweep(rc, len(ccas), func(jc *RunContext, i int) []float64 {
-		m := jc.RunFlow(s, mustMaker(ccas[i], jc.agents(), nil), time.Second)
+		m := jc.RunFlow(s, CCAMaker(ccas[i], nil)(jc), time.Second)
 		return m.Flow.Stats.Throughput.Rates(int(dur / time.Second))
 	})
 	for t := 0; t < int(dur/time.Second); t++ {

@@ -38,7 +38,7 @@ func runFig9(rc *RunContext) *Report {
 			Buffer:   buffers[i%len(buffers)],
 			Duration: dur,
 		}
-		return jc.RunFlow(s, mustMaker(ccas[i/len(buffers)], jc.agents(), nil), 0)
+		return jc.RunFlow(s, CCAMaker(ccas[i/len(buffers)], nil)(jc), 0)
 	})
 
 	util := Table{Name: "link utilisation vs buffer", Cols: append([]string{"cca"}, bufNames(buffers)...)}
@@ -83,7 +83,7 @@ func runFig10(rc *RunContext) *Report {
 			Loss:     losses[i%len(losses)],
 			Duration: dur,
 		}
-		return jc.RunFlow(s, mustMaker(ccas[i/len(losses)], jc.agents(), nil), 0)
+		return jc.RunFlow(s, CCAMaker(ccas[i/len(losses)], nil)(jc), 0)
 	})
 
 	tbl := Table{Name: "link utilisation vs stochastic loss", Cols: append([]string{"cca"}, lossNames(losses)...)}

@@ -53,7 +53,7 @@ func runFigA1(rc *RunContext) *Report {
 	}
 
 	ms := Sweep(rc, len(classes)*len(ccas), func(jc *RunContext, i int) Metrics {
-		return jc.RunFlow(scens[i/len(ccas)], mustMaker(ccas[i%len(ccas)], jc.agents(), nil), 0)
+		return jc.RunFlow(scens[i/len(ccas)], CCAMaker(ccas[i%len(ccas)], nil)(jc), 0)
 	})
 
 	tbl := Table{Name: "per fault class: throughput (Mbps), delay (ms), loss (%), skipped cycles",

@@ -39,7 +39,7 @@ func runFlightSweep(t *testing.T, workers int) map[string][]byte {
 		Faults:   plan,
 	}
 	Sweep(rc, 3, func(jc *RunContext, i int) Metrics {
-		return jc.RunFlow(s, mustMaker("c-libra", nil, nil), 0)
+		return jc.RunFlow(s, untrained("c-libra"), 0)
 	})
 	if err := fl.Err(); err != nil {
 		t.Fatalf("flight recorder error: %v", err)

@@ -24,7 +24,7 @@ func TestRunFlowRecordsMetrics(t *testing.T) {
 		Buffer:   150_000,
 		Duration: 5 * time.Second,
 	}
-	m := rc.RunFlow(s, mustMaker("c-libra", nil, nil), 0)
+	m := rc.RunFlow(s, untrained("c-libra"), 0)
 	if m.ThrMbps <= 0 {
 		t.Fatalf("run produced no throughput: %+v", m)
 	}
@@ -86,7 +86,7 @@ func TestRunnerWiresTracer(t *testing.T) {
 		Buffer:   150_000,
 		Duration: 3 * time.Second,
 	}
-	rc.RunFlow(s, mustMaker("c-libra", nil, nil), 0)
+	rc.RunFlow(s, untrained("c-libra"), 0)
 	if err := rec.Close(); err != nil {
 		t.Fatalf("recorder close: %v", err)
 	}

@@ -84,7 +84,7 @@ func topoScenario(d time.Duration) Scenario {
 
 func TestRunFlowOverTopology(t *testing.T) {
 	rc := NewRunContext(7)
-	m := rc.RunFlow(topoScenario(3*time.Second), mustMaker("cubic", nil, nil), 0)
+	m := rc.RunFlow(topoScenario(3*time.Second), CCAMaker("cubic", nil)(rc), 0)
 	if m.Failed {
 		t.Fatalf("topo run failed: %v", m.Err)
 	}
@@ -133,7 +133,7 @@ func TestTopoSweepDeterministicAcrossWorkers(t *testing.T) {
 		rc.Tracer = rec
 		Sweep(rc, 3, func(jc *RunContext, i int) int {
 			ms := jc.RunFlows(topoScenario(2*time.Second),
-				[]Maker{mustMaker("cubic", nil, nil), mustMaker("bbr", nil, nil)},
+				[]Maker{CCAMaker("cubic", nil)(jc), CCAMaker("bbr", nil)(jc)},
 				[]time.Duration{0, 500 * time.Millisecond}, 0)
 			for _, m := range ms {
 				if m.Failed {
@@ -227,7 +227,7 @@ func (panicky) OnAck(*cc.Ack) { panic("boom") }
 // of unwinding the caller.
 func TestRunContainsControllerPanic(t *testing.T) {
 	mks := []Maker{
-		mustMaker("cubic", nil, nil),
+		func(seed int64) cc.Controller { return cubic.New(cc.Config{Seed: seed}) },
 		func(seed int64) cc.Controller { return panicky{cubic.New(cc.Config{Seed: seed})} },
 	}
 	for _, s := range []Scenario{

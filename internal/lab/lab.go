@@ -29,8 +29,9 @@ type Outcome struct {
 	// regressions, and no-ACK episodes flagged by the analyzer.
 	Anomalies int64 `json:"anomalies"`
 
-	// an is the evaluation's analyzer, kept for tournament merging.
-	an *analyze.Analyzer
+	// flagged is that count even for a failed run, whose events reached
+	// the analyzer before it aborted; the tournament sums it.
+	flagged int64
 }
 
 // Eval runs one scenario in the given (job) context and scores the
@@ -67,7 +68,11 @@ func Eval(jc *exp.RunContext, sp Spec, u utility.Libra) Outcome {
 	ms := jc.RunFlows(sp.Scenario(), mks, nil, time.Second)
 
 	an.Finalize()
-	out.an = an
+	for _, fr := range an.Report().Flows {
+		if fr.ID == 0 {
+			out.flagged = fr.Collapses + fr.Regressions + fr.NoAckEpisodes
+		}
+	}
 	m := ms[0]
 	if m.Failed {
 		out.Failed = true
@@ -77,11 +82,7 @@ func Eval(jc *exp.RunContext, sp Spec, u utility.Libra) Outcome {
 	out.ThrMbps = m.ThrMbps
 	out.DelayMs = m.DelayMs
 	out.LossRate = m.LossRate
-	for _, fr := range an.Report().Flows {
-		if fr.ID == 0 {
-			out.Anomalies = fr.Collapses + fr.Regressions + fr.NoAckEpisodes
-		}
-	}
+	out.Anomalies = out.flagged
 	return out
 }
 

@@ -6,7 +6,6 @@ import (
 	"io"
 	"sort"
 
-	"libra/internal/analyze"
 	"libra/internal/exp"
 	"libra/internal/netem/faults"
 	"libra/internal/sweep"
@@ -44,7 +43,7 @@ type Entry struct {
 	SLO      float64 `json:"slo"`
 	// Anomalies sums the analyzer's target-flow anomaly counters
 	// (collapses, regressions, no-ACK episodes) across all scenarios,
-	// via a merged analyze report. Failures counts aborted cells.
+	// aborted cells included. Failures counts aborted cells.
 	Anomalies int64 `json:"anomalies"`
 	Failures  int   `json:"failures"`
 }
@@ -61,7 +60,7 @@ type Leaderboard struct {
 // Tournament searches a worst case per contestant, then runs every CCA
 // against the shared scenario pool — clean baseline, every stock
 // preset, and every contestant's discovered worst case — as one sweep
-// of cells, aggregating per-CCA stats through merged analyze reports.
+// of cells, aggregating per-CCA stats over its row of cells.
 // All seeds sub-derive from cfg.Seed and all cell results come back in
 // fixed row-major order, so the leaderboard is byte-identical at any
 // rc.Workers count and across repeated runs.
@@ -120,10 +119,9 @@ func Tournament(rc *exp.RunContext, cfg TournamentConfig) (*Leaderboard, error) 
 		return Eval(jc, sp, cfg.Util)
 	})
 
-	// Phase 4: per-CCA aggregation through a merged analyze report.
+	// Phase 4: per-CCA aggregation.
 	for i, cca := range cfg.CCAs {
 		row := cells[i*len(scens) : (i+1)*len(scens)]
-		merged := analyze.New(analyze.Config{Util: cfg.Util})
 		e := Entry{CCA: cca, Baseline: row[0].Score}
 		sum := 0.0
 		worst := row[0]
@@ -139,20 +137,13 @@ func Tournament(rc *exp.RunContext, cfg TournamentConfig) (*Leaderboard, error) 
 			if e.Baseline > 0 && o.Score >= 0.5*e.Baseline {
 				kept++
 			}
-			if o.an != nil {
-				merged.Merge(o.an)
-			}
+			e.Anomalies += o.flagged
 		}
 		e.MeanScore = sum / float64(len(row))
 		e.WorstScore = worst.Score
 		e.WorstScenario = worst.Spec.Label
 		if e.Baseline > 0 {
 			e.SLO = float64(kept) / float64(len(row))
-		}
-		for _, fr := range merged.Report().Flows {
-			if fr.ID == 0 {
-				e.Anomalies = fr.Collapses + fr.Regressions + fr.NoAckEpisodes
-			}
 		}
 		lb.Entries = append(lb.Entries, e)
 	}

@@ -106,8 +106,7 @@ type Flow struct {
 	minRTT    time.Duration
 
 	nextSend   time.Duration
-	paceTimer  sim.Timer
-	paceArmed  bool
+	paceTimer  *sim.Deadline
 	rtoTimer   *sim.Deadline
 	rtoBackoff int
 
@@ -191,7 +190,7 @@ func (f *Flow) stop() {
 	}
 	f.running = false
 	f.Stats.Active = f.topo.Eng.Now() - f.startAt
-	f.topo.Eng.Cancel(f.paceTimer)
+	f.paceTimer.Stop()
 	f.rtoTimer.Stop()
 	if st, ok := f.ctrl.(cc.Stopper); ok {
 		st.Stop(f.topo.Eng.Now())
@@ -244,20 +243,15 @@ func (f *Flow) trySend() {
 	}
 }
 
-// paceCb fires the pacing timer; scheduled with the flow itself as the
-// argument so re-arming is allocation-free.
-func paceCb(arg any) {
-	f := arg.(*Flow)
-	f.paceArmed = false
-	f.trySend()
-}
+// paceCb fires the pacing timer.
+func paceCb(arg any) { arg.(*Flow).trySend() }
 
+// armPacing sets the pacing timer unless it is already set: an earlier
+// wake-up stands, and the send loop re-arms it when it fires.
 func (f *Flow) armPacing(at time.Duration) {
-	if f.paceArmed {
-		return
+	if !f.paceTimer.Armed() {
+		f.paceTimer.Set(at)
 	}
-	f.paceArmed = true
-	f.paceTimer = f.topo.Eng.AtCall(at, paceCb, f)
 }
 
 func (f *Flow) sendPacket(now time.Duration) {

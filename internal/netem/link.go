@@ -43,7 +43,7 @@ type Link struct {
 	// Statistics; read through DeliveredBytes()/DropStats().
 	delivered   int64
 	drops       DropStats
-	qIntegral   float64 // byte-seconds, for mean queue occupancy
+	qIntegral   float64 // byte-nanoseconds, for mean queue occupancy
 	lastQSample time.Duration
 
 	tracer  telemetry.Tracer
@@ -141,13 +141,15 @@ func (l *Link) MeanQueueBytes(now time.Duration) float64 {
 	if now <= 0 {
 		return 0
 	}
-	return l.qIntegral / now.Seconds()
+	return l.qIntegral / float64(now)
 }
 
+// sampleQueue adds the occupancy held since the last sample to the
+// integral. It runs on every enqueue and service completion, so it
+// works in nanoseconds and leaves the one division to MeanQueueBytes.
 func (l *Link) sampleQueue(now time.Duration) {
-	dt := (now - l.lastQSample).Seconds()
-	if dt > 0 {
-		l.qIntegral += float64(l.qByte) * dt
+	if dt := now - l.lastQSample; dt > 0 {
+		l.qIntegral += float64(l.qByte) * float64(dt)
 		l.lastQSample = now
 	}
 }

@@ -1,12 +1,14 @@
 package netem
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"libra/internal/cc"
+	"libra/internal/sim"
 	"libra/internal/trace"
 )
 
@@ -47,13 +49,13 @@ func TestQuickQueueBounded(t *testing.T) {
 		})
 		n.AddFlow(cc.FixedRate{R: trace.Mbps(50)}, 0, 0)
 		ok := true
-		probe := func() {
+		probe := func(any) {
 			if n.Link().QueuedBytes() > buf {
 				ok = false
 			}
 		}
 		for i := 1; i <= 20; i++ {
-			n.Eng.After(time.Duration(i)*100*time.Millisecond, probe)
+			n.Eng.AfterCall(time.Duration(i)*100*time.Millisecond, probe, nil)
 		}
 		n.Run(2100 * time.Millisecond)
 		return ok
@@ -61,5 +63,35 @@ func TestQuickQueueBounded(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(22))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// MeanQueueBytes is the time-weighted mean occupancy: on an 8 Mbit/s
+// link that serialises a 1000-byte packet per millisecond, three packets
+// arrive at 0 and two at 5 ms. A packet counts until its serialisation
+// ends, so the link holds 3000, 2000 and 1000 bytes over the first three
+// milliseconds and 2000 and 1000 over [5, 7) ms.
+func TestMeanQueueBytes(t *testing.T) {
+	eng := sim.New()
+	l := newLink(eng, LinkSpec{Capacity: trace.Constant(trace.Mbps(8))}, 1,
+		func(*Packet) {}, func(*Packet, bool) {}, nil)
+	burst := func(arg any) {
+		for i := 0; i < arg.(int); i++ {
+			l.Enqueue(&Packet{Size: 1000})
+		}
+	}
+	eng.AtCall(0, burst, 3)
+	eng.AtCall(5*time.Millisecond, burst, 2)
+	for _, c := range []struct {
+		at   time.Duration
+		want float64 // byte-milliseconds over milliseconds
+	}{
+		{4 * time.Millisecond, (3000 + 2000 + 1000) / 4.0},
+		{10 * time.Millisecond, (3000 + 2000 + 1000 + 2000 + 1000) / 10.0},
+	} {
+		eng.Run(c.at)
+		if got := l.MeanQueueBytes(eng.Now()); math.Abs(got-c.want) > 1e-9*c.want {
+			t.Errorf("mean queue at %v = %v bytes, want %v", c.at, got, c.want)
+		}
 	}
 }

@@ -134,7 +134,7 @@ func newTopology(cfg TopologyConfig) (*Topology, error) {
 		return nil, fmt.Errorf("netem: topology has no links")
 	}
 	tp := &Topology{
-		Eng:   sim.New(cfg.Seed),
+		Eng:   sim.New(),
 		tcfg:  cfg,
 		byLbl: make(map[string]int, len(cfg.Links)),
 		nodes: make(map[string]bool, len(cfg.Nodes)),
@@ -297,6 +297,7 @@ func (tp *Topology) AddFlowOn(r *Route, ctrl cc.Controller, start, stop time.Dur
 		startAt: start,
 		stopAt:  stop,
 	}
+	f.paceTimer = tp.Eng.NewDeadline(paceCb, f)
 	f.rtoTimer = tp.Eng.NewDeadline(rtoCb, f)
 	if b := tp.tcfg.SeriesBucket; b > 0 {
 		f.Stats.Throughput = NewSeries(b)

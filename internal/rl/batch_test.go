@@ -16,68 +16,6 @@ func randObsMatrix(rng *rand.Rand, b, dim int) *nn.Matrix {
 	return x
 }
 
-// ActBatch row r must reproduce ActSeeded(row r) bit-for-bit: action,
-// log-probability, and value.
-func TestActBatchMatchesActSeeded(t *testing.T) {
-	const obsDim, b = 20, 7
-	p := NewPPO(1, obsDim, 1, Config{})
-	rng := rand.New(rand.NewSource(2))
-	X := randObsMatrix(rng, b, obsDim)
-	seeds := make([]uint64, b)
-	for i := range seeds {
-		seeds[i] = rng.Uint64()
-	}
-	logps := make([]float64, b)
-	vals := make([]float64, b)
-	acts := p.ActBatch(X, seeds, nil, logps, vals)
-	for r := 0; r < b; r++ {
-		act, logp, val := p.ActSeeded(X.Data[r*obsDim:(r+1)*obsDim], seeds[r], nil)
-		if acts.At(r, 0) != act[0] {
-			t.Fatalf("row %d act: %v != %v", r, acts.At(r, 0), act[0])
-		}
-		if logps[r] != logp {
-			t.Fatalf("row %d logp: %v != %v", r, logps[r], logp)
-		}
-		if vals[r] != val {
-			t.Fatalf("row %d val: %v != %v", r, vals[r], val)
-		}
-	}
-}
-
-// A row's result must not depend on which other rows share its batch or
-// where in the batch it lands.
-func TestActBatchCompositionIndependent(t *testing.T) {
-	const obsDim = 20
-	p := NewPPO(3, obsDim, 1, Config{})
-	rng := rand.New(rand.NewSource(4))
-	obs := make([]float64, obsDim)
-	for i := range obs {
-		obs[i] = rng.NormFloat64()
-	}
-	const seed = 12345
-	eval := func(b, pos int) (float64, float64, float64) {
-		X := randObsMatrix(rng, b, obsDim)
-		copy(X.Data[pos*obsDim:(pos+1)*obsDim], obs)
-		seeds := make([]uint64, b)
-		for i := range seeds {
-			seeds[i] = rng.Uint64()
-		}
-		seeds[pos] = seed
-		logps := make([]float64, b)
-		vals := make([]float64, b)
-		acts := p.ActBatch(X, seeds, nil, logps, vals)
-		return acts.At(pos, 0), logps[pos], vals[pos]
-	}
-	act0, logp0, val0 := eval(1, 0)
-	for _, c := range []struct{ b, pos int }{{3, 0}, {3, 2}, {16, 7}, {33, 32}} {
-		act, logp, val := eval(c.b, c.pos)
-		if act != act0 || logp != logp0 || val != val0 {
-			t.Fatalf("batch %dx pos %d: (%v %v %v) != solo (%v %v %v)",
-				c.b, c.pos, act, logp, val, act0, logp0, val0)
-		}
-	}
-}
-
 func TestMeanBatchMatchesMean(t *testing.T) {
 	const obsDim = 12
 	p := NewPPO(5, obsDim, 2, Config{})

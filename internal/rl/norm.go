@@ -21,9 +21,6 @@ func NewRunningNorm(dim int) *RunningNorm {
 	return &RunningNorm{mean: make([]float64, dim), m2: make([]float64, dim)}
 }
 
-// Dim returns the tracked feature width.
-func (r *RunningNorm) Dim() int { return len(r.mean) }
-
 // Count returns the number of observations folded in.
 func (r *RunningNorm) Count() float64 { return r.n }
 

@@ -98,11 +98,6 @@ func (p *GaussianPolicy) SampleFrom(mean []float64, seed uint64, dst []float64) 
 	return dst
 }
 
-// SampleSeeded draws a seeded-noise action for obs: Forward + SampleFrom.
-func (p *GaussianPolicy) SampleSeeded(obs []float64, seed uint64, dst []float64) []float64 {
-	return p.SampleFrom(p.Actor.Forward(obs), seed, dst)
-}
-
 // LogProb evaluates log pi(act|obs), running a fresh forward pass (so a
 // subsequent backward sees the right cached activations).
 func (p *GaussianPolicy) LogProb(obs, act []float64) float64 {

@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// chain is the benchmark workload: a self-rescheduling event, the shape
-// of every steady-state netem path (pacing timers, link service, ACK
-// return, controller ticks).
+// chain is the benchmark workload: a self-rescheduling callback, the
+// shape of the steady-state netem callbacks (link service, controller
+// ticks, the queue sampler).
 type chain struct {
 	e    *Engine
 	n    int
@@ -24,15 +24,20 @@ func chainCb(arg any) {
 	}
 }
 
+// background gives the heap a realistic depth: 64 callbacks parked an
+// hour out.
+func background(e *Engine) {
+	for i := 0; i < 64; i++ {
+		e.AtCall(time.Hour+time.Duration(i), nop, nil)
+	}
+}
+
 // BenchmarkSteadyCallback measures the zero-alloc hot path: one AfterCall
 // schedule + one dispatch per op, on a warm engine with a small queue.
 func BenchmarkSteadyCallback(b *testing.B) {
-	e := New(1)
+	e := New()
 	c := &chain{e: e, stop: b.N}
-	// Background population so the heap has realistic depth.
-	for i := 0; i < 64; i++ {
-		e.At(time.Hour+time.Duration(i), func() {})
-	}
+	background(e)
 	e.AfterCall(time.Microsecond, chainCb, c)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -69,15 +74,13 @@ func lineChainCb(arg any) {
 // deadline's stale entry comes due and re-arms every 50 µs of simulated
 // time.
 func BenchmarkSteadyLine(b *testing.B) {
-	e := New(1)
+	e := New()
 	c := &lineChain{e: e, stop: math.MaxInt}
 	c.line = e.NewLine(8*time.Microsecond, lineChainCb)
 	c.rto = e.NewDeadline(func(any) { b.Fatal("deadline fired while being re-set") }, nil)
-	for i := 0; i < 64; i++ {
-		e.At(time.Hour+time.Duration(i), func() {})
-	}
+	background(e)
 	for i := 0; i < 8; i++ {
-		e.At(time.Duration(i)*time.Microsecond, func() { c.line.Push(c) })
+		e.AtCall(time.Duration(i)*time.Microsecond, func(any) { c.line.Push(c) }, nil)
 	}
 	e.Run(16 * time.Microsecond) // warm-up: the line's buffer reaches its working size
 	c.n, c.stop = 0, b.N
@@ -89,42 +92,62 @@ func BenchmarkSteadyLine(b *testing.B) {
 	}
 }
 
-// BenchmarkClosureSchedule measures the legacy At path (closure per
-// event) for comparison; this is the cold-path API.
-func BenchmarkClosureSchedule(b *testing.B) {
-	e := New(1)
-	fn := func() {}
+// pacingChain is the pacing workload: a deadline set only while disarmed,
+// which sets itself again from inside its callback, the way a flow's
+// send loop re-arms its pacing timer.
+type pacingChain struct {
+	e    *Engine
+	d    *Deadline
+	n    int
+	stop int
+}
+
+func pacingCb(arg any) {
+	p := arg.(*pacingChain)
+	p.n++
+	if p.n < p.stop && !p.d.Armed() {
+		p.d.Set(p.e.Now() + time.Microsecond)
+	}
+}
+
+// BenchmarkSteadyPacing measures the pacing hot path: one Set on a
+// disarmed deadline and one firing per op.
+func BenchmarkSteadyPacing(b *testing.B) {
+	e := New()
+	p := &pacingChain{e: e, stop: b.N}
+	p.d = e.NewDeadline(pacingCb, p)
+	background(e)
+	p.d.Set(time.Microsecond)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.At(time.Duration(i)*time.Microsecond, fn)
+	e.Run(time.Hour - time.Minute)
+	if p.n < b.N {
+		b.Fatalf("fired %d of %d times", p.n, b.N)
 	}
-	e.Run(time.Duration(b.N) * time.Microsecond)
 }
 
 // BenchmarkHeapChurn stresses sift depth: schedule b.N events with
 // spread timestamps up front, then drain.
 func BenchmarkHeapChurn(b *testing.B) {
-	e := New(1)
-	fn := func() {}
+	e := New()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.At(time.Duration((i*2654435761)%1000000)*time.Microsecond, fn)
+		e.AtCall(time.Duration((i*2654435761)%1000000)*time.Microsecond, nop, nil)
 	}
 	e.Run(time.Hour)
 }
 
-// steadyBudgetNs bounds the per-event cost (schedule + dispatch) of the
-// pooled-callback hot path. The measured figure on the recording machine
+// steadyBudgetNs bounds the per-event cost (schedule + dispatch) of each
+// hot path. The measured figure on the recording machine
 // is ~40-80 ns; 250 ns absorbs slower CI hardware while still catching
 // an accidental reintroduction of boxing or container/heap dispatch.
 const steadyBudgetNs = 250
 
 // TestEngineBudget is the regression guard for the allocation-free hot
-// paths: steady-state scheduling/dispatch, and line push/delivery with a
-// deadline re-set, must stay at exactly 0 allocs/event, and under
-// steadyBudgetNs ns/event. The nanosecond assertion only arms when
+// paths: steady-state callback scheduling/dispatch, line push/delivery
+// with a deadline re-set, and the pacing deadline's set/fire cycle must
+// stay at exactly 0 allocs/event, and under steadyBudgetNs ns/event. The nanosecond assertion only arms when
 // CORE_BENCH_GUARD is set (make bench-core / scripts/check.sh), because
 // it needs this package run in isolation; the allocation assertion is
 // unconditional — allocations do not depend on machine load.
@@ -136,6 +159,7 @@ func TestEngineBudget(t *testing.T) {
 	}{
 		{"steady callback path", BenchmarkSteadyCallback},
 		{"line + deadline path", BenchmarkSteadyLine},
+		{"pacing deadline path", BenchmarkSteadyPacing},
 	} {
 		r := testing.Benchmark(c.bench)
 		if r.N == 0 {

@@ -2,10 +2,10 @@ package sim
 
 // A Line and a Deadline each own one slot and hold at most one heap
 // entry, however many events they stand for, and dispatch in exactly the
-// (at, seq) order the equivalent AfterCall/AtCall/Cancel calls would:
-// every push or Set reserves the next scheduling sequence at the moment
-// it is made, as the call it replaces would have, and the single entry
-// takes a reserved key when it moves rather than a fresh one.
+// (at, seq) order the equivalent AfterCall/AtCall calls would: every
+// push or Set reserves the next scheduling sequence at the moment it is
+// made, as that call would have, and the single entry takes a reserved
+// key when it moves rather than a fresh one.
 
 // Line is a fixed-delay FIFO: each Push hands its argument to the line's
 // callback delay later. Because the delay is fixed and pushes happen in
@@ -76,13 +76,14 @@ func (l *Line) deliver() {
 		e.siftDown(0)
 	} else {
 		l.q, l.head = l.q[:0], 0
-		e.removeAt(0)
+		e.popRoot()
 	}
 	l.cb(arg)
 }
 
-// Deadline is a re-settable one-shot timer, the shape of a
-// retransmission timeout that moves on every ACK. Set replaces the
+// Deadline is a re-settable one-shot timer: a flow's retransmission
+// timeout, which moves on every ACK, and its pacing timer, which is set
+// only while disarmed and stopped when the flow stops. Set replaces the
 // deadline and Stop disarms it, but neither touches the heap unless the
 // deadline moves earlier than its entry: the entry stays where it is and,
 // when it comes due, either fires (it is the deadline), re-arms at the
@@ -109,8 +110,7 @@ func (e *Engine) NewDeadline(cb Callback, arg any) *Deadline {
 }
 
 // Set arms the deadline at t (clamped to now), replacing any earlier
-// setting. It consumes one scheduling sequence, as Cancel followed by
-// AtCall(t, ...) would.
+// setting. It consumes one scheduling sequence, as AtCall(t, ...) would.
 func (d *Deadline) Set(t Clock) {
 	e := d.e
 	if t < e.now {
@@ -150,14 +150,14 @@ func (d *Deadline) due() bool {
 	switch {
 	case d.armed && top.seq == d.seq:
 		d.armed, d.queued = false, false
-		e.removeAt(0)
+		e.popRoot()
 		return true
 	case d.armed:
 		top.at, top.seq = d.at, d.seq
 		e.siftDown(0)
 	default:
 		d.queued = false
-		e.removeAt(0)
+		e.popRoot()
 	}
 	return false
 }

@@ -1,34 +1,34 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
-// The engine maintains a virtual clock and a priority queue of events.
-// Events scheduled for the same instant fire in scheduling order, which,
-// together with a seeded random source, makes every simulation run exactly
-// reproducible for a given seed.
+// The engine keeps a virtual clock and a priority queue of events.
+// Events scheduled for the same instant fire in scheduling order, which
+// makes every simulation exactly reproducible. It schedules three kinds
+// of thing:
+//
+//   - callbacks: AtCall/AfterCall run a fixed Callback with an argument
+//     once, fire and forget;
+//   - delay lines: a Line is a fixed-delay FIFO (a link's propagation,
+//     a route's ACK return) with one heap entry however many items it
+//     holds;
+//   - deadlines: a Deadline is a one-shot timer that may be set, moved
+//     and stopped (a flow's RTO and pacing timer), with one heap entry
+//     that moves lazily.
+//
+// Lines and deadlines keep the exact (at, seq) order of the callbacks
+// they stand for.
 //
 // # Hot path
 //
 // The queue is an inlined, value-typed 4-ary min-heap of small (24-byte)
 // entries — no per-event pointer, no interface boxing, no container/heap
-// dispatch. Event payloads (the function to run) live in a generation-
-// counted slot table recycled through a free list, so steady-state
-// scheduling and dispatch allocate nothing. Each armed slot records its
-// entry's heap index, so Cancel removes the entry in O(log n). Two
-// scheduling APIs share this machinery:
-//
-//   - At/After take a closure. Convenient, but the closure itself is an
-//     allocation at the call site — use on setup and other cold paths.
-//   - AtCall/AfterCall take a fixed Callback plus an argument. When the
-//     callback is a package-level function and the argument is a pointer,
-//     scheduling is allocation-free.
-//
-// Two primitives stand for many events with one heap entry each while
-// keeping their exact (at, seq) order: a Line (fixed-delay FIFO, the
-// per-packet propagation and ACK paths) and a Deadline (a timer re-set
-// far more often than it fires, a flow's RTO).
+// dispatch. Event payloads live in a slot table recycled through a free
+// list, so steady-state scheduling and dispatch allocate nothing: with a
+// package-level callback and a pointer argument, AtCall does not
+// allocate. Each slot records its entry's heap index, so a Deadline set
+// earlier than its entry can move the entry up in place.
 package sim
 
 import (
-	"math/rand"
 	"sync/atomic"
 	"time"
 )
@@ -38,10 +38,11 @@ import (
 // formatting toolbox of the standard library applies.
 type Clock = time.Duration
 
-// Callback is a fixed function scheduled with AtCall/AfterCall. The
-// argument it was scheduled with is passed back at dispatch. Storing a
-// pointer in arg does not allocate; package-level Callback values do not
-// allocate either, which is what keeps the per-packet paths alloc-free.
+// Callback is a fixed function scheduled with AtCall/AfterCall, or run
+// by a Line or a Deadline. The argument it was scheduled with is passed
+// back at dispatch. Storing a pointer in arg does not allocate;
+// package-level Callback values do not allocate either, which is what
+// keeps the per-packet paths alloc-free.
 type Callback func(arg any)
 
 // heapEntry is one queue position: ordering key plus a handle into the
@@ -53,33 +54,26 @@ type heapEntry struct {
 	slot int32
 }
 
-// slotRec holds one scheduled event's payload. gen increments every time
-// the slot is released (fired or cancelled), so stale Timer handles are
-// recognised in O(1) even after slot reuse. pos is the armed event's
-// index in the heap, kept current by every sift. A Line or a Deadline
-// owns one slot for its whole life, marked by line or dl; such a slot
-// is never released, so no Timer handle ever matches it.
+// slotRec holds one scheduled event's payload. pos is the entry's index
+// in the heap, kept current by every sift. A callback's slot returns to
+// the free list when it fires; a Line or a Deadline owns one slot for
+// its whole life, marked by line or dl.
 type slotRec struct {
-	gen  uint32
 	pos  int32
-	fn   func()
 	cb   Callback
 	arg  any
 	line *Line
 	dl   *Deadline
 }
 
-// Engine is a single-threaded discrete-event simulator. The zero value is
-// not usable; construct with New.
+// Engine is a single-threaded discrete-event simulator.
 type Engine struct {
 	now        Clock
 	seq        uint64
 	heap       []heapEntry
 	slots      []slotRec
 	free       []int32 // recycled slot indices
-	rng        *rand.Rand
-	halted     bool
-	dispatched int64 // total events fired, counted on the hot path
+	dispatched int64   // total events fired, counted on the hot path
 
 	// progress mirrors now/dispatched/live through atomics for
 	// cross-goroutine health sampling. The hot path refreshes it every
@@ -99,26 +93,11 @@ type Engine struct {
 // health samples taken every second lose nothing to the amortization.
 const progressStride = 1024
 
-// New returns an engine whose random source is seeded with seed.
-func New(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
-}
+// New returns an empty engine at virtual time zero.
+func New() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Clock { return e.now }
-
-// Rand returns the engine's deterministic random source. All stochastic
-// components of a simulation should draw from this source (or from sources
-// derived from it) so that runs are reproducible.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
-
-// Timer identifies a scheduled event so that it can be cancelled. The
-// zero Timer is valid and refers to nothing; generation counting makes a
-// stale Timer (fired, cancelled, or slot since reused) a safe no-op.
-type Timer struct {
-	slot int32 // slot index + 1; 0 means "no timer"
-	gen  uint32
-}
 
 // less orders entries by time, then FIFO by scheduling sequence.
 func less(a, b *heapEntry) bool {
@@ -145,7 +124,7 @@ func (e *Engine) siftUp(i int) {
 	slots[ent.slot].pos = int32(i)
 }
 
-// siftDown restores heap order from entry i (the root or a hole) down.
+// siftDown restores heap order from entry i down.
 func (e *Engine) siftDown(i int) {
 	h, slots := e.heap, e.slots
 	n := len(h)
@@ -176,19 +155,14 @@ func (e *Engine) siftDown(i int) {
 	slots[ent.slot].pos = int32(i)
 }
 
-// removeAt deletes heap entry i: the last entry fills the hole and sifts
-// whichever way restores order.
-func (e *Engine) removeAt(i int) {
+// popRoot deletes the root entry: the last entry fills the hole and
+// sifts down.
+func (e *Engine) popRoot() {
 	n := len(e.heap) - 1
-	e.heap[i] = e.heap[n]
+	e.heap[0] = e.heap[n]
 	e.heap = e.heap[:n]
-	if i == n {
-		return
-	}
-	if i > 0 && less(&e.heap[i], &e.heap[(i-1)>>2]) {
-		e.siftUp(i)
-	} else {
-		e.siftDown(i)
+	if n > 0 {
+		e.siftDown(0)
 	}
 }
 
@@ -203,82 +177,38 @@ func (e *Engine) allocSlot() int32 {
 	return int32(len(e.slots) - 1)
 }
 
-// release retires slot s once its event fired or was cancelled: the
-// generation bump stales every Timer handle to it.
-func (e *Engine) release(s int32) {
-	rec := &e.slots[s]
-	rec.gen++
-	rec.fn, rec.cb, rec.arg = nil, nil, nil
-	e.free = append(e.free, s)
-}
-
 // push adds a heap entry for slot s under the (at, seq) key.
 func (e *Engine) push(at Clock, seq uint64, s int32) {
 	e.heap = append(e.heap, heapEntry{at: at, seq: seq, slot: s})
 	e.siftUp(len(e.heap) - 1)
 }
 
-// schedule arms one event. Exactly one of fn/cb is non-nil.
-func (e *Engine) schedule(t Clock, fn func(), cb Callback, arg any) Timer {
+// AtCall schedules cb(arg) to run once at virtual time t. Scheduling in
+// the past (t less than Now) runs the event at the current instant
+// instead; this keeps callers simple when computing delays that may
+// round to zero or below. With a package-level cb and a pointer arg
+// this allocates nothing.
+func (e *Engine) AtCall(t Clock, cb Callback, arg any) {
 	if t < e.now {
 		t = e.now
 	}
 	s := e.allocSlot()
 	rec := &e.slots[s]
-	rec.fn, rec.cb, rec.arg = fn, cb, arg
+	rec.cb, rec.arg = cb, arg
 	e.push(t, e.seq, s)
 	e.seq++
-	return Timer{slot: s + 1, gen: rec.gen}
 }
 
-// At schedules fn to run at virtual time t. Scheduling in the past (t less
-// than Now) runs the event at the current instant instead; this keeps
-// callers simple when computing delays that may round to zero or below.
-// The closure is a call-site allocation — hot paths use AtCall.
-func (e *Engine) At(t Clock, fn func()) Timer {
-	return e.schedule(t, fn, nil, nil)
+// AfterCall schedules cb(arg) to run once d from now.
+func (e *Engine) AfterCall(d Clock, cb Callback, arg any) {
+	e.AtCall(e.now+d, cb, arg)
 }
 
-// After schedules fn to run d from now.
-func (e *Engine) After(d Clock, fn func()) Timer {
-	return e.schedule(e.now+d, fn, nil, nil)
-}
-
-// AtCall schedules cb(arg) at virtual time t (clamped to now like At).
-// With a package-level cb and a pointer arg this allocates nothing.
-func (e *Engine) AtCall(t Clock, cb Callback, arg any) Timer {
-	return e.schedule(t, nil, cb, arg)
-}
-
-// AfterCall schedules cb(arg) to run d from now.
-func (e *Engine) AfterCall(d Clock, cb Callback, arg any) Timer {
-	return e.schedule(e.now+d, nil, cb, arg)
-}
-
-// Cancel removes a scheduled event and its heap entry in O(log n).
-// Cancelling the zero Timer, an already-fired timer, an already-cancelled
-// timer, or a timer whose slot has since been reused is a no-op (the
-// generation check catches all four).
-func (e *Engine) Cancel(t Timer) {
-	if t.slot == 0 {
-		return
-	}
-	s := t.slot - 1
-	if e.slots[s].gen != t.gen {
-		return
-	}
-	e.removeAt(int(e.slots[s].pos))
-	e.release(s)
-}
-
-// Halt stops Run before the next event is dispatched.
-func (e *Engine) Halt() { e.halted = true }
-
-// dispatchTop fires the minimum entry. A timer's slot is released before
-// the payload runs, so a callback may re-arm freely; its own Timer handle
-// is already stale by then. A line or deadline entry is handed to its
-// owner, which keeps it at the root under a new key, removes it, or (a
-// stale deadline entry) runs nothing at all.
+// dispatchTop fires the minimum entry. A callback's slot returns to the
+// free list before the callback runs, so it may schedule freely. A line
+// or deadline entry is handed to its owner, which keeps it in the heap
+// under a new key, removes it, or (a stale deadline entry) runs nothing
+// at all.
 func (e *Engine) dispatchTop() {
 	ent := e.heap[0]
 	e.now = ent.at
@@ -293,15 +223,12 @@ func (e *Engine) dispatchTop() {
 			d.cb(d.arg)
 		}
 	default:
-		e.removeAt(0)
-		fn, cb, arg := rec.fn, rec.cb, rec.arg
-		e.release(ent.slot)
+		e.popRoot()
+		cb, arg := rec.cb, rec.arg
+		rec.cb, rec.arg = nil, nil
+		e.free = append(e.free, ent.slot)
 		e.count()
-		if cb != nil {
-			cb(arg)
-		} else {
-			fn()
-		}
+		cb(arg)
 	}
 }
 
@@ -333,8 +260,7 @@ func (e *Engine) Progress() (simNs, events, pending int64) {
 // would pass until. The clock is left at the time of the last dispatched
 // event, or at until if the queue drained earlier.
 func (e *Engine) Run(until Clock) {
-	e.halted = false
-	for len(e.heap) > 0 && !e.halted && e.heap[0].at <= until {
+	for len(e.heap) > 0 && e.heap[0].at <= until {
 		e.dispatchTop()
 	}
 	if e.now < until {
@@ -357,21 +283,21 @@ func (e *Engine) Step() bool {
 	return false
 }
 
-// Pending returns the number of heap entries in O(1): one per scheduled
-// (non-cancelled) timer, one per non-empty Line and one per Deadline
-// that holds an entry. Cancelled and fired timers leave the heap at
-// once; a stopped or moved Deadline keeps its entry until it comes due.
+// Pending returns the number of heap entries in O(1): one per callback
+// not yet run, one per non-empty Line and one per Deadline that holds an
+// entry. A callback leaves the heap when it fires; a stopped or moved
+// Deadline keeps its entry until it comes due.
 func (e *Engine) Pending() int { return len(e.heap) }
 
 // pendingLinear recounts heap entries by scanning the heap for entries
-// whose slot is armed (or owned by a line or deadline) and records that
-// entry's position. Tests assert Pending and the position index against
-// it.
+// whose slot holds a callback (or is owned by a line or deadline) and
+// records that entry's position. Tests assert Pending and the position
+// index against it.
 func (e *Engine) pendingLinear() int {
 	n := 0
 	for i, ent := range e.heap {
 		rec := &e.slots[ent.slot]
-		if (rec.fn != nil || rec.cb != nil || rec.line != nil || rec.dl != nil) && int(rec.pos) == i {
+		if (rec.cb != nil || rec.line != nil || rec.dl != nil) && int(rec.pos) == i {
 			n++
 		}
 	}

@@ -8,12 +8,15 @@ import (
 	"time"
 )
 
+// nop is a callback that does nothing.
+func nop(any) {}
+
 func TestRunDispatchesInTimeOrder(t *testing.T) {
-	e := New(1)
+	e := New()
 	var got []time.Duration
 	for _, d := range []time.Duration{30, 10, 20, 5, 25} {
 		d := d * time.Millisecond
-		e.At(d, func() { got = append(got, d) })
+		e.AtCall(d, func(any) { got = append(got, d) }, nil)
 	}
 	e.Run(time.Second)
 	want := []time.Duration{5, 10, 20, 25, 30}
@@ -28,11 +31,10 @@ func TestRunDispatchesInTimeOrder(t *testing.T) {
 }
 
 func TestSameInstantFIFO(t *testing.T) {
-	e := New(1)
+	e := New()
 	var order []int
 	for i := 0; i < 10; i++ {
-		i := i
-		e.At(time.Millisecond, func() { order = append(order, i) })
+		e.AtCall(time.Millisecond, func(arg any) { order = append(order, arg.(int)) }, i)
 	}
 	e.Run(time.Second)
 	for i, v := range order {
@@ -43,38 +45,47 @@ func TestSameInstantFIFO(t *testing.T) {
 }
 
 func TestAfterUsesCurrentTime(t *testing.T) {
-	e := New(1)
+	e := New()
 	var at time.Duration
-	e.At(10*time.Millisecond, func() {
-		e.After(5*time.Millisecond, func() { at = e.Now() })
-	})
+	e.AtCall(10*time.Millisecond, func(any) {
+		e.AfterCall(5*time.Millisecond, func(any) { at = e.Now() }, nil)
+	}, nil)
 	e.Run(time.Second)
 	if at != 15*time.Millisecond {
-		t.Fatalf("nested After fired at %v, want 15ms", at)
+		t.Fatalf("nested AfterCall fired at %v, want 15ms", at)
 	}
 }
 
-func TestCancel(t *testing.T) {
-	e := New(1)
-	fired := false
-	tm := e.At(10*time.Millisecond, func() { fired = true })
-	e.Cancel(tm)
+// A stopped deadline does not fire, and stopping it again, or after it
+// fired, changes nothing: the pacing timer's life at a flow's stop.
+func TestDeadlineStop(t *testing.T) {
+	e := New()
+	fired := 0
+	d := e.NewDeadline(func(any) { fired++ }, nil)
+	d.Set(10 * time.Millisecond)
+	d.Stop()
+	d.Stop()
 	e.Run(time.Second)
-	if fired {
-		t.Fatal("cancelled event fired")
+	if fired != 0 || d.Armed() {
+		t.Fatalf("stopped deadline fired %d times, armed %v", fired, d.Armed())
 	}
-	// Double-cancel and cancel-after-fire must not panic.
-	e.Cancel(tm)
-	tm2 := e.At(e.Now()+time.Millisecond, func() {})
+	if e.Pending() != 0 {
+		t.Fatalf("stopped deadline left %d heap entries once due", e.Pending())
+	}
+	d.Set(e.Now() + time.Millisecond)
 	e.Run(e.Now() + time.Second)
-	e.Cancel(tm2)
+	d.Stop()
+	if fired != 1 || d.Armed() {
+		t.Fatalf("re-set deadline fired %d times, armed %v after Stop, want 1 and false", fired, d.Armed())
+	}
 }
 
 func TestRunStopsAtUntil(t *testing.T) {
-	e := New(1)
+	e := New()
 	fired := 0
-	e.At(10*time.Millisecond, func() { fired++ })
-	e.At(30*time.Millisecond, func() { fired++ })
+	count := func(any) { fired++ }
+	e.AtCall(10*time.Millisecond, count, nil)
+	e.AtCall(30*time.Millisecond, count, nil)
 	e.Run(20 * time.Millisecond)
 	if fired != 1 {
 		t.Fatalf("fired %d events before until, want 1", fired)
@@ -89,37 +100,25 @@ func TestRunStopsAtUntil(t *testing.T) {
 }
 
 func TestSchedulingInPastClampsToNow(t *testing.T) {
-	e := New(1)
-	var at time.Duration
-	e.At(10*time.Millisecond, func() {
-		e.At(time.Millisecond, func() { at = e.Now() })
-	})
+	e := New()
+	var at, dlAt time.Duration
+	d := e.NewDeadline(func(any) { dlAt = e.Now() }, nil)
+	e.AtCall(10*time.Millisecond, func(any) {
+		e.AtCall(time.Millisecond, func(any) { at = e.Now() }, nil)
+		d.Set(time.Millisecond)
+	}, nil)
 	e.Run(time.Second)
-	if at != 10*time.Millisecond {
-		t.Fatalf("past event fired at %v, want clamp to 10ms", at)
-	}
-}
-
-func TestHalt(t *testing.T) {
-	e := New(1)
-	fired := 0
-	e.At(time.Millisecond, func() { fired++; e.Halt() })
-	e.At(2*time.Millisecond, func() { fired++ })
-	e.Run(time.Second)
-	if fired != 1 {
-		t.Fatalf("halt did not stop dispatch: fired=%d", fired)
-	}
-	e.Run(time.Second)
-	if fired != 2 {
-		t.Fatalf("resume after halt failed: fired=%d", fired)
+	if at != 10*time.Millisecond || dlAt != 10*time.Millisecond {
+		t.Fatalf("past callback fired at %v, past deadline at %v, want both clamped to 10ms", at, dlAt)
 	}
 }
 
 func TestStep(t *testing.T) {
-	e := New(1)
+	e := New()
 	n := 0
-	e.At(time.Millisecond, func() { n++ })
-	e.At(2*time.Millisecond, func() { n++ })
+	count := func(any) { n++ }
+	e.AtCall(time.Millisecond, count, nil)
+	e.AtCall(2*time.Millisecond, count, nil)
 	if !e.Step() || n != 1 {
 		t.Fatalf("first step: n=%d", n)
 	}
@@ -133,17 +132,18 @@ func TestStep(t *testing.T) {
 
 func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func(seed int64) []time.Duration {
-		e := New(seed)
+		e := New()
+		rng := rand.New(rand.NewSource(seed))
 		var out []time.Duration
-		var schedule func()
-		schedule = func() {
+		var schedule Callback
+		schedule = func(any) {
 			if e.Now() > 100*time.Millisecond {
 				return
 			}
 			out = append(out, e.Now())
-			e.After(time.Duration(1+e.Rand().Intn(5))*time.Millisecond, schedule)
+			e.AfterCall(time.Duration(1+rng.Intn(5))*time.Millisecond, schedule, nil)
 		}
-		e.After(0, schedule)
+		e.AfterCall(0, schedule, nil)
 		e.Run(200 * time.Millisecond)
 		return out
 	}
@@ -162,11 +162,11 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 // the sorted order of times (stable by insertion for ties).
 func TestQuickDispatchOrderSorted(t *testing.T) {
 	f := func(offsets []uint16) bool {
-		e := New(7)
+		e := New()
 		var got []time.Duration
 		for _, o := range offsets {
 			d := time.Duration(o) * time.Microsecond
-			e.At(d, func() { got = append(got, d) })
+			e.AtCall(d, func(any) { got = append(got, d) }, nil)
 		}
 		e.Run(time.Hour)
 		if len(got) != len(offsets) {
@@ -180,20 +180,27 @@ func TestQuickDispatchOrderSorted(t *testing.T) {
 	}
 }
 
-// Property: AtCall events interleave with At events in strict
-// same-instant FIFO order — the heap swap must not reorder ties.
+// Property: callbacks, line items and deadlines due at one instant fire
+// in strict scheduling order, whichever of the three scheduled them.
 func TestSameInstantFIFOMixedAPIs(t *testing.T) {
-	e := New(1)
+	e := New()
 	var order []int
-	for i := 0; i < 20; i++ {
-		i := i
-		if i%2 == 0 {
-			e.At(time.Millisecond, func() { order = append(order, i) })
-		} else {
-			e.AtCall(time.Millisecond, func(arg any) { order = append(order, arg.(int)) }, i)
+	record := func(arg any) { order = append(order, arg.(int)) }
+	line := e.NewLine(time.Millisecond, record)
+	for i := 0; i < 21; i++ {
+		switch i % 3 {
+		case 0:
+			e.AtCall(time.Millisecond, record, i)
+		case 1:
+			line.Push(i)
+		default:
+			e.NewDeadline(record, i).Set(time.Millisecond)
 		}
 	}
 	e.Run(time.Second)
+	if len(order) != 21 {
+		t.Fatalf("fired %d of 21 events", len(order))
+	}
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("mixed-API same-instant events fired out of order: %v", order)
@@ -201,60 +208,72 @@ func TestSameInstantFIFOMixedAPIs(t *testing.T) {
 	}
 }
 
-// Pending must always agree with an O(n) scan for armed, correctly
-// indexed heap entries, across an adversarial schedule/cancel/dispatch
-// mix.
+// Pending must always agree with an O(n) scan for live, correctly
+// indexed heap entries, across a schedule/dispatch mix with deadlines
+// set, moved and stopped.
 func TestPendingMatchesLinearCount(t *testing.T) {
-	e := New(3)
+	e := New()
 	check := func(ctx string) {
 		t.Helper()
 		if got, want := e.Pending(), e.pendingLinear(); got != want {
 			t.Fatalf("%s: Pending() = %d, linear recount = %d", ctx, got, want)
 		}
 	}
-	var timers []Timer
+	var dls []*Deadline
 	for i := 0; i < 100; i++ {
-		timers = append(timers, e.At(time.Duration(i%17)*time.Millisecond, func() {}))
+		e.AtCall(time.Duration(i%17)*time.Millisecond, nop, nil)
+		if i%4 == 0 {
+			d := e.NewDeadline(nop, nil)
+			d.Set(time.Duration(i%13) * time.Millisecond)
+			dls = append(dls, d)
+		}
 	}
 	check("after scheduling")
-	for i := 0; i < len(timers); i += 3 {
-		e.Cancel(timers[i])
+	for i, d := range dls {
+		switch i % 3 {
+		case 0:
+			d.Stop()
+		case 1:
+			d.Set(time.Duration(i%5) * time.Millisecond) // earlier or later
+		}
 	}
-	check("after cancels")
-	for i := 0; i < len(timers); i += 3 {
-		e.Cancel(timers[i]) // double-cancel must not double-decrement
-	}
-	check("after double-cancels")
+	check("after stops and moves")
 	for e.Step() {
 		check("mid-dispatch")
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("drained engine reports %d pending", e.Pending())
 	}
-	// Events cancelled from inside a callback.
-	var a, b Timer
-	a = e.After(time.Millisecond, func() {})
-	b = e.After(time.Millisecond, func() {})
-	e.After(0, func() { e.Cancel(a); e.Cancel(b) })
-	check("before cancel-inside-callback run")
+	// Deadlines stopped and set from inside a callback.
+	e.AfterCall(0, func(any) {
+		dls[0].Set(e.Now() + time.Millisecond)
+		dls[1].Set(e.Now() + time.Millisecond)
+		dls[1].Stop()
+	}, nil)
+	check("before set-inside-callback run")
 	e.Run(e.Now() + time.Second)
-	check("after cancel-inside-callback run")
+	check("after set-inside-callback run")
 }
 
-// modelEvent is one pending dispatch in the reference model: a timer, a
-// line item or a deadline's heap entry.
+// modelEvent is one pending dispatch in the reference model: a
+// callback, a line item or a deadline's heap entry.
 type modelEvent struct {
 	at   Clock
 	seq  uint64
 	kind int
-	id   int // timer handle id, line item id or deadline index
+	id   int // callback id, line item id or deadline index
 }
 
 const (
-	kindTimer = iota
+	kindCall = iota
 	kindLine
 	kindDeadline
 )
+
+// pacer indexes the deadline driven the way a flow's pacing timer is:
+// set only while disarmed (also from inside its own callback) and
+// stopped. The other deadlines are set at random, the way an RTO moves.
+const pacer = 0
 
 // modelLine mirrors one Line: its items sit in the model's pending list
 // as ordinary events, but the heap holds one entry while any is pending.
@@ -276,16 +295,15 @@ type modelDeadline struct {
 }
 
 // engineModel mirrors an Engine with a plain slice kept sorted by
-// (at, seq), the order the heap must dispatch in. Every timer, line push
-// and deadline Set takes its seq when the call is made.
+// (at, seq), the order the heap must dispatch in. Every callback, line
+// push and deadline Set takes its seq when the call is made.
 type engineModel struct {
 	t       *testing.T
 	e       *Engine
 	rng     *rand.Rand
 	seq     uint64       // mirrors the engine's scheduling sequence
 	pending []modelEvent // sorted by (at, seq)
-	handles []Timer      // every handle ever issued, indexed by id
-	rtoID   int          // the timer re-armed the way a flow's RTO is
+	calls   int          // callbacks ever scheduled: the next one's id
 	lines   []modelLine
 	lineOf  []int // line index of every item ever pushed, by item id
 	dls     []modelDeadline
@@ -293,9 +311,9 @@ type engineModel struct {
 }
 
 func newEngineModel(t *testing.T, seed int64) *engineModel {
-	m := &engineModel{t: t, e: New(seed), rng: rand.New(rand.NewSource(seed))}
-	// Delays 0 (delivery at the push instant) and 1 ms (ties with timers
-	// and deadlines on the millisecond grid) among others.
+	m := &engineModel{t: t, e: New(), rng: rand.New(rand.NewSource(seed))}
+	// Delays 0 (delivery at the push instant) and 1 ms (ties with
+	// callbacks and deadlines on the millisecond grid) among others.
 	for _, d := range []Clock{0, time.Millisecond, 3 * time.Millisecond, 7 * time.Millisecond} {
 		m.lines = append(m.lines, modelLine{delay: d,
 			l: m.e.NewLine(d, func(arg any) { m.fire(kindLine, arg.(int)) })})
@@ -304,13 +322,15 @@ func newEngineModel(t *testing.T, seed int64) *engineModel {
 		m.dls = append(m.dls, modelDeadline{
 			d: m.e.NewDeadline(func(arg any) { m.fire(kindDeadline, arg.(int)) }, i)})
 	}
-	m.rtoID = m.schedule()
+	m.schedule()
+	m.pace()
 	return m
 }
 
 // check asserts that the heap holds exactly the entries the model
-// predicts: one per pending timer, per non-empty line and per deadline
-// entry, stale or not.
+// predicts: one per pending callback, per non-empty line and per
+// deadline entry, stale or not; and that every deadline is armed
+// exactly when the model says.
 func (m *engineModel) check(ctx string) {
 	m.t.Helper()
 	want := 0
@@ -327,6 +347,11 @@ func (m *engineModel) check(ctx string) {
 	if len(m.e.heap) != m.e.Pending() || m.e.Pending() != want || m.e.pendingLinear() != want {
 		m.t.Fatalf("%s: heap %d entries, Pending() %d, linear recount %d, model %d entries",
 			ctx, len(m.e.heap), m.e.Pending(), m.e.pendingLinear(), want)
+	}
+	for i, dl := range m.dls {
+		if dl.d.Armed() != dl.armed {
+			m.t.Fatalf("%s: deadline %d Armed() = %v, model %v", ctx, i, dl.d.Armed(), dl.armed)
+		}
 	}
 }
 
@@ -357,35 +382,22 @@ func (m *engineModel) offset() Clock {
 	return m.e.Now() + Clock(m.rng.Intn(24)-4)*time.Millisecond
 }
 
-// schedule arms one timer through At or AtCall.
-func (m *engineModel) schedule() int {
-	id := len(m.handles)
+// schedule arms one callback through AtCall or AfterCall.
+func (m *engineModel) schedule() {
+	id := m.calls
+	m.calls++
 	at := m.offset()
-	var tm Timer
+	cb := func(arg any) { m.fire(kindCall, arg.(int)) }
 	if m.rng.Intn(2) == 0 {
-		tm = m.e.At(at, func() { m.fire(kindTimer, id) })
+		m.e.AtCall(at, cb, id)
 	} else {
-		tm = m.e.AtCall(at, func(arg any) { m.fire(kindTimer, arg.(int)) }, id)
+		m.e.AfterCall(at-m.e.Now(), cb, id)
 	}
 	if at < m.e.Now() {
 		at = m.e.Now()
 	}
-	m.insert(modelEvent{at: at, seq: m.seq, kind: kindTimer, id: id})
+	m.insert(modelEvent{at: at, seq: m.seq, kind: kindCall, id: id})
 	m.seq++
-	m.handles = append(m.handles, tm)
-	return id
-}
-
-// cancel cancels handle id, which may be pending, fired or cancelled.
-func (m *engineModel) cancel(id int) {
-	m.e.Cancel(m.handles[id])
-	m.remove(kindTimer, id)
-}
-
-// rearm cancels the RTO-style timer and arms a fresh one.
-func (m *engineModel) rearm() {
-	m.cancel(m.rtoID)
-	m.rtoID = m.schedule()
 }
 
 // push adds one item to a random line.
@@ -400,12 +412,10 @@ func (m *engineModel) push() {
 	ml.n++
 }
 
-// setDeadline sets a random deadline. Its entry stays put unless the
+// setDeadline sets deadline di at at. Its entry stays put unless the
 // deadline moved earlier than it.
-func (m *engineModel) setDeadline() {
-	di := m.rng.Intn(len(m.dls))
+func (m *engineModel) setDeadline(di int, at Clock) {
 	dl := &m.dls[di]
-	at := m.offset()
 	dl.d.Set(at)
 	if at < m.e.Now() {
 		at = m.e.Now()
@@ -418,6 +428,14 @@ func (m *engineModel) setDeadline() {
 	m.remove(kindDeadline, di)
 	dl.entry, dl.entAt = true, at
 	m.insert(modelEvent{at: at, seq: dl.seq, kind: kindDeadline, id: di})
+}
+
+// pace sets the pacing deadline unless it is armed, as a flow's send
+// loop does. After a stop, its stale entry may still be queued.
+func (m *engineModel) pace() {
+	if !m.dls[pacer].armed {
+		m.setDeadline(pacer, m.offset())
+	}
 }
 
 // stopDeadline stops a random deadline; its entry stays in the heap.
@@ -460,14 +478,12 @@ func (m *engineModel) mutate() {
 	switch r := m.rng.Intn(12); {
 	case r < 3:
 		m.schedule()
-	case r < 5:
-		m.cancel(m.rng.Intn(len(m.handles)))
 	case r < 6:
-		m.rearm()
-	case r < 9:
 		m.push()
-	case r < 11:
-		m.setDeadline()
+	case r < 8:
+		m.setDeadline(1+m.rng.Intn(len(m.dls)-1), m.offset())
+	case r < 10:
+		m.pace()
 	default:
 		m.stopDeadline()
 	}
@@ -503,8 +519,9 @@ func (m *engineModel) op() {
 }
 
 // fire checks a dispatch against the model's first live event, then
-// lets the callback schedule, cancel (its own stale handle included),
-// re-arm, push, set and stop.
+// lets the callback schedule, push, set and stop; the pacing deadline
+// re-sets itself half the time, as a flow's send loop does when the
+// window or rate still holds it back.
 func (m *engineModel) fire(kind, id int) {
 	m.t.Helper()
 	m.drainStale(m.e.Now())
@@ -525,20 +542,21 @@ func (m *engineModel) fire(kind, id int) {
 		m.dls[id].armed, m.dls[id].entry = false, false
 	}
 	m.check("inside callback")
+	if kind == kindDeadline && id == pacer && m.rng.Intn(2) == 0 {
+		m.pace()
+		m.check("after pacing re-set")
+	}
 	for k := m.rng.Intn(3); k > 0; k-- {
-		if kind == kindTimer && m.rng.Intn(5) == 0 {
-			m.cancel(id) // stale: the firing event's own handle
-		} else {
-			m.mutate()
-		}
+		m.mutate()
 		m.check("after callback op")
 	}
 }
 
-// Property: under a random mix of At/AtCall, Cancel (of pending, fired
-// and cancelled handles, and from inside callbacks), RTO-style re-arms,
-// Line pushes, Deadline sets, re-sets and stops (each from outside and
-// inside callbacks, at the current instant and on tied timestamps), Step
+// Property: under a random mix of AtCall/AfterCall callbacks, Line
+// pushes, Deadline sets, re-sets and stops (a pacing-style deadline set
+// only while disarmed, including from inside its own callback and after
+// a stop, and RTO-style deadlines moved at random), each from outside and
+// inside callbacks, at the current instant and on tied timestamps, Step
 // and Run, the engine runs callbacks in the reference model's (at, seq)
 // order, with every push and Set keyed by the seq it took when called,
 // and its heap holds exactly the entries the model predicts after every
@@ -558,45 +576,32 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 	}
 }
 
-// A Timer handle must go stale the moment its event fires, even when the
-// underlying slot is immediately reused by a new event: cancelling the
-// old handle must not kill the new tenant.
-func TestCancelStaleHandleAfterSlotReuse(t *testing.T) {
-	e := New(1)
-	fired := 0
-	old := e.At(time.Millisecond, func() { fired++ })
-	e.Run(time.Second) // fires; slot returns to the free list
-	// The next event recycles the same slot.
-	e.At(e.Now()+time.Millisecond, func() { fired++ })
-	e.Cancel(old) // stale: must be a no-op against the reused slot
-	e.Run(e.Now() + time.Second)
-	if fired != 2 {
-		t.Fatalf("stale Cancel killed a reused slot's event: fired=%d, want 2", fired)
-	}
-}
-
-// Re-arming from inside a firing callback must work: the firing event's
-// slot is released before the callback runs, and the fresh timer must be
-// independently cancellable.
+// Re-arming from inside a firing callback must work: the firing
+// callback's slot returns to the free list before it runs, so the
+// callback it schedules may reuse the slot, and a deadline set again
+// from inside its own callback fires again.
 func TestRearmFromInsideCallback(t *testing.T) {
-	e := New(1)
+	e := New()
 	fired := 0
-	var tm Timer
-	tm = e.After(time.Millisecond, func() {
+	e.AfterCall(time.Millisecond, func(any) {
 		fired++
-		e.Cancel(tm) // self-cancel after fire: stale, must not disturb anything
-		tm = e.After(time.Millisecond, func() { fired++ })
-	})
+		e.AfterCall(time.Millisecond, func(any) { fired++ }, nil)
+	}, nil)
 	e.Run(time.Second)
 	if fired != 2 {
 		t.Fatalf("re-armed callback chain fired %d times, want 2", fired)
 	}
-	// Re-arm again, then cancel the fresh timer before it fires.
-	tm = e.After(time.Millisecond, func() { fired++ })
-	e.Cancel(tm)
+	var d *Deadline
+	d = e.NewDeadline(func(any) {
+		fired++
+		if fired < 5 {
+			d.Set(e.Now() + time.Millisecond)
+		}
+	}, nil)
+	d.Set(e.Now() + time.Millisecond)
 	e.Run(e.Now() + time.Second)
-	if fired != 2 {
-		t.Fatalf("cancelled re-armed timer fired anyway: fired=%d", fired)
+	if fired != 5 || d.Armed() {
+		t.Fatalf("self-re-setting deadline: fired=%d armed=%v, want 5 and false", fired, d.Armed())
 	}
 }
 
@@ -605,7 +610,7 @@ func TestRearmFromInsideCallback(t *testing.T) {
 // batch by time — i.e. FIFO among equal instants, sorted across them.
 func TestQuickSameInstantFIFOPreserved(t *testing.T) {
 	f := func(offsets []uint8) bool {
-		e := New(11)
+		e := New()
 		type fired struct {
 			at time.Duration
 			id int
@@ -639,9 +644,9 @@ func TestQuickSameInstantFIFOPreserved(t *testing.T) {
 
 func BenchmarkScheduleAndRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		e := New(1)
+		e := New()
 		for j := 0; j < 1000; j++ {
-			e.At(time.Duration(j)*time.Microsecond, func() {})
+			e.AtCall(time.Duration(j)*time.Microsecond, nop, nil)
 		}
 		e.Run(time.Second)
 	}

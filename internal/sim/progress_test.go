@@ -9,12 +9,12 @@ import (
 // counters must be exact — every dispatched event, the final clock, and
 // the surviving timers — not a stride-rounded approximation.
 func TestProgressExactAfterRun(t *testing.T) {
-	e := New(1)
+	e := New()
 	const n = 3000 // spans several progressStride batches
 	for i := 0; i < n; i++ {
-		e.At(time.Duration(i)*time.Microsecond, func() {})
+		e.AtCall(time.Duration(i)*time.Microsecond, nop, nil)
 	}
-	e.At(time.Hour, func() {}) // stays pending past the horizon
+	e.AtCall(time.Hour, nop, nil) // stays pending past the horizon
 	const until = 10 * time.Millisecond
 	e.Run(until)
 
@@ -34,17 +34,16 @@ func TestProgressExactAfterRun(t *testing.T) {
 // point mid-dispatch must see counters that lag the true dispatch count
 // by at most one stride — the amortized-publication contract.
 func TestProgressPublishedMidRun(t *testing.T) {
-	e := New(1)
+	e := New()
 	const n = progressStride*3 + 17
 	var observed []int64
 	for i := 0; i < n; i++ {
-		i := i
-		e.At(time.Duration(i)*time.Microsecond, func() {
-			if i%progressStride == 0 {
+		e.AtCall(time.Duration(i)*time.Microsecond, func(arg any) {
+			if arg.(int)%progressStride == 0 {
 				_, events, _ := e.Progress()
 				observed = append(observed, events)
 			}
-		})
+		}, i)
 	}
 	e.Run(time.Second)
 	if len(observed) == 0 {

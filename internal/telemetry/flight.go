@@ -216,6 +216,3 @@ func (f *FlightRecorder) Evictions() int64 { return f.evictions.Value() }
 
 // Err returns the first dump-write error encountered, if any.
 func (f *FlightRecorder) Err() error { return f.err }
-
-// Depth returns the configured per-flow ring capacity.
-func (f *FlightRecorder) Depth() int { return f.perFlow }

@@ -253,9 +253,6 @@ func NewTSDB(bucket time.Duration, capacity int) *TSDB {
 	}
 }
 
-// BaseBucket returns the database's base bucket width.
-func (db *TSDB) BaseBucket() time.Duration { return time.Duration(db.width) }
-
 // Series returns (registering on first use) the named series. scale is
 // the unit factor rate buckets multiply by at snapshot time (ignored
 // for gauges; pass 1 when the summed unit is already per-second-ready).

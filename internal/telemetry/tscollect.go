@@ -245,9 +245,6 @@ func (c *TSCollector) Merge(src *TSCollector) {
 	}
 }
 
-// BaseBucket returns the collector's base bucket width.
-func (c *TSCollector) BaseBucket() time.Duration { return c.db.BaseBucket() }
-
 // Snapshot returns a point-in-time copy of every series.
 func (c *TSCollector) Snapshot() TSSnapshot {
 	c.mu.Lock()

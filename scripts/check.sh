@@ -29,10 +29,12 @@ go test -run=NONE -fuzz=FuzzPlanMutate -fuzztime=10s ./internal/netem/faults/
 go test -run=NONE -fuzz=FuzzParseTopo -fuzztime=10s ./internal/exp/
 TELEMETRY_BENCH_GUARD=1 go test ./internal/telemetry/ -run TestNopTracerBudget -count=1 -v
 ANALYZE_BENCH_GUARD=1 go test ./internal/analyze/ -run TestFeedBudget -count=1 -v
-# Event-engine hot path: 0 allocs/event + 250 ns/event budget on the
-# pooled callback path and the delay-line + deadline path, 0 allocs in
-# a warm end-to-end netem run, and the heap bounded by the network's
-# shape rather than by the packets in flight. Timings come from the
+# Event-engine hot path: 0 allocs/event + 250 ns/event budget on each
+# of the engine's three paths (a self-rescheduling callback, delay-line
+# delivery with an RTO-style deadline re-set, and the pacing deadline's
+# set-fire-set cycle), 0 allocs in a warm end-to-end netem run, and the
+# heap bounded by the network's shape rather than by the packets in
+# flight. Timings come from the
 # repository benchmark (bash benchmark/run.sh).
 CORE_BENCH_GUARD=1 go test ./internal/sim/ -run TestEngineBudget -count=1 -v
 go test ./internal/netem/ -run 'TestNetemSteadyStateAllocs|TestEngineHeapBound' -count=1 -v
