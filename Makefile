@@ -29,17 +29,20 @@ bench-guard:
 # budget on each of the engine's three paths (a self-rescheduling
 # callback, delay-line delivery with an RTO-style deadline re-set, and
 # the pacing deadline's set-fire-set cycle), 0 allocs in a warm
-# end-to-end netem run, and a heap bounded by the network's shape
-# (flows, links, routes), not by the packets in flight. The
-# flight-recorder and time-series guards ride along: each feed must
-# stay 0 allocs and <= 50 ns/event. These are pass/fail guards; timings
-# come from the repository benchmark (bash benchmark/run.sh). Run in
-# isolation for the same reason as bench-guard.
+# single-bottleneck run and in a warm multi-hop run, and a heap bounded
+# by the network's shape (flows, links, routes), not by the packets in
+# flight. The telemetry guards ride along: the flight-recorder and
+# time-series feeds must stay 0 allocs and <= 50 ns/event, and a reused
+# trace Buffer's Emit/ReplayTo/Reset cycle 0 allocs. These are
+# pass/fail guards; timings come from the repository benchmark (bash
+# benchmark/run.sh). Run in isolation for the same reason as
+# bench-guard.
 bench-core:
 	CORE_BENCH_GUARD=1 $(GO) test ./internal/sim/ -run TestEngineBudget -count=1 -v
-	$(GO) test ./internal/netem/ -run 'TestNetemSteadyStateAllocs|TestEngineHeapBound' -count=1 -v
+	$(GO) test ./internal/netem/ -run 'TestNetemSteadyStateAllocs|TestTopoSteadyStateAllocs|TestEngineHeapBound' -count=1 -v
 	FLIGHT_BENCH_GUARD=1 $(GO) test ./internal/telemetry/ -run TestFlightEmitBudget -count=1 -v
 	TIMESERIES_BENCH_GUARD=1 $(GO) test ./internal/telemetry/ -run TestTimeSeriesBudget -count=1 -v
+	$(GO) test ./internal/telemetry/ -run TestBufferSteadyStateAllocs -count=1 -v
 
 # Agent-inference hot path: the per-flow PPO.Act baseline (exact-tanh
 # nets, actor+critic+sampling per decision — the pre-batching

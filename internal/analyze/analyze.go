@@ -243,7 +243,9 @@ func addWindows(dst, src map[int64]*window) {
 
 // appendJains appends the Jain index of every window in wins, in window
 // order, over the flows that sent in any of them (a flow silent in one
-// window counts as zero there). Windows nobody sent in are skipped.
+// window counts as zero there). Windows nobody sent in are skipped, and
+// so is a run in which fewer than two flows sent: one flow has nothing
+// to share with, and its windows would read a perfect 1.
 func appendJains(dst []float64, wins map[int64]*window) []float64 {
 	sent := make(map[int]int64, 4)
 	idxs := make([]int64, 0, len(wins))
@@ -258,6 +260,9 @@ func appendJains(dst []float64, wins map[int64]*window) []float64 {
 		if n > 0 {
 			senders = append(senders, id)
 		}
+	}
+	if len(senders) < 2 {
+		return dst
 	}
 	sort.Ints(senders)
 	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })

@@ -513,3 +513,27 @@ func TestDetectorsScopedToRun(t *testing.T) {
 		t.Fatalf("runs analysed together: fairness %+v, apart %+v", got, apartFair)
 	}
 }
+
+// A one-flow run has no fairness to score: a multi-run stream of a
+// one-flow run and then a two-flow run reports only the second run's
+// windows, where counting the first would add a window at Jain 1.
+func TestFairnessSkipsOneFlowRuns(t *testing.T) {
+	ms := func(n int64) int64 { return n * int64(time.Millisecond) }
+	send := func(t int64, flow int, bytes int64) telemetry.Event {
+		return telemetry.Event{T: ms(t), Type: telemetry.TypeEnqueue, Flow: flow, Bytes: bytes}
+	}
+	end := telemetry.Event{T: ms(2000), Type: telemetry.TypeSpan, Flow: -1, Reason: telemetry.SpanEnd, Name: "scenario:x"}
+	stream := []telemetry.Event{
+		send(100, 0, 1000), send(1100, 0, 1000), end, // one flow, two windows
+		send(100, 0, 3000), send(101, 1, 1000), end, // two flows, one window at Jain 0.8
+	}
+	a := New(Config{})
+	for i := range stream {
+		a.Emit(&stream[i])
+	}
+	a.Finalize()
+	got := a.Report().Fairness
+	if got.Flows != 2 || got.Windows != 1 || math.Abs(got.Mean-0.8) > 1e-12 || got.Below90 != 1 {
+		t.Fatalf("fairness %+v, want 2 flows and the two-flow run's one window at Jain 0.8", got)
+	}
+}

@@ -103,7 +103,8 @@ type LinkReport struct {
 	Blackouts    int64            `json:"blackouts"`
 }
 
-// FairnessReport is the windowed Jain index across flows.
+// FairnessReport is the windowed Jain index across flows, over the
+// windows of every run in which at least two flows sent.
 type FairnessReport struct {
 	WindowMs float64 `json:"window_ms"`
 	Flows    int     `json:"flows"`
@@ -269,8 +270,9 @@ func (a *Analyzer) flowReport(fs *flowState) FlowReport {
 // fairnessReport summarises the windowed Jain index of every run: each
 // window's index is over the flows that sent in its run (absent flows
 // count as zero in a window — a silent flow is unfairness, not a
-// smaller denominator). Flows counts the flow IDs that sent anywhere
-// in the trace. The open run counts as it stands. Callers hold a.mu.
+// smaller denominator), and a run in which fewer than two flows sent
+// adds no window. Flows counts the flow IDs that sent anywhere in the
+// trace. The open run counts as it stands. Callers hold a.mu.
 func (a *Analyzer) fairnessReport(ids []int) FairnessReport {
 	fr := FairnessReport{WindowMs: float64(a.cfg.Window) / 1e6}
 	for _, id := range ids {

@@ -50,18 +50,22 @@ func runAblOrder(rc *RunContext) *Report {
 	})
 
 	tbl := Table{Name: "evaluation ordering", Cols: []string{"order", "avg util", "avg delay(ms)", "avg loss"}}
+	starved := 0
 	for oi, ord := range orders {
-		var u, d, lo float64
+		var u, lo float64
+		var d delayMean
 		n := len(scens) * reps
 		for k := 0; k < n; k++ {
 			m := ms[oi*n+k]
 			u += m.Util
-			d += m.DelayMs
+			d.add(m)
 			lo += m.LossRate
 		}
-		tbl.AddRow(ord.name, fmtF(u/float64(n), 3), fmtF(d/float64(n), 0), fmtF(lo/float64(n), 4))
+		starved += d.starved
+		tbl.AddRow(ord.name, fmtF(u/float64(n), 3), d.format(0), fmtF(lo/float64(n), 4))
 	}
-	return &Report{ID: "abl-order", Title: "Evaluation-order ablation", Tables: []Table{tbl}}
+	return &Report{ID: "abl-order", Title: "Evaluation-order ablation", Tables: []Table{tbl},
+		Notes: starvedNotes(starved)}
 }
 
 func runAblClassics(rc *RunContext) *Report {
@@ -87,18 +91,22 @@ func runAblClassics(rc *RunContext) *Report {
 
 	tbl := Table{Name: "Libra over different classic CCAs (avg of 4 scenarios)",
 		Cols: []string{"variant", "util", "avg delay(ms)", "loss"}}
+	starved := 0
 	for vi, v := range variants {
-		var u, d, lo float64
+		var u, lo float64
+		var d delayMean
 		for si := range scens {
 			m := ms[vi*len(scens)+si]
 			u += m.Util
-			d += m.DelayMs
+			d.add(m)
 			lo += m.LossRate
 		}
+		starved += d.starved
 		n := float64(len(scens))
-		tbl.AddRow(v.name, fmtF(u/n, 3), fmtF(d/n, 0), fmtF(lo/n, 4))
+		tbl.AddRow(v.name, fmtF(u/n, 3), d.format(0), fmtF(lo/n, 4))
 	}
-	return &Report{ID: "abl-classics", Title: "Classic-CCA generality", Tables: []Table{tbl}}
+	return &Report{ID: "abl-classics", Title: "Classic-CCA generality", Tables: []Table{tbl},
+		Notes: starvedNotes(starved)}
 }
 
 func runSec7(rc *RunContext) *Report {

@@ -189,9 +189,10 @@ func (rc *RunContext) quiet() *RunContext {
 }
 
 // child builds the context for Sweep job i: sub-derived seed, private
-// registry, buffered tracer (when the parent traces), shared fault
-// plan and agent cache, serial workers (nested Sweeps inside a job run
-// inline rather than oversubscribing the pool).
+// registry, buffered tracer (when the parent traces; its events sit in
+// pages recycled across every sweep's jobs), shared fault plan and
+// agent cache, serial workers (nested Sweeps inside a job run inline
+// rather than oversubscribing the pool).
 func (rc *RunContext) child(i int) *RunContext {
 	jc := &RunContext{
 		Quick:     rc.Quick,
@@ -218,9 +219,11 @@ func (rc *RunContext) child(i int) *RunContext {
 // their results in job order. Each job gets a child context (see
 // child); job registries merge into rc.Metrics and trace buffers
 // replay into rc.Tracer strictly in job order — streamed as each
-// ordered prefix of jobs completes, so live observers (the flow
-// dashboard tapping rc.Tracer) see progress during the sweep rather
-// than one burst at the end. The merged stream is identical at every
+// ordered prefix of jobs completes, by the worker that completed it
+// and under the sweep's lock, so live observers (the flow dashboard
+// tapping rc.Tracer) see progress during the sweep rather than one
+// burst at the end. A replayed buffer's pages go back to the pool for
+// the jobs still running. The merged stream is identical at every
 // worker count — including 1 — so a sweep's report, metrics snapshot,
 // and event stream are byte-identical regardless of parallelism.
 func Sweep[T any](rc *RunContext, n int, job func(jc *RunContext, i int) T) []T {
@@ -239,8 +242,9 @@ func Sweep[T any](rc *RunContext, n int, job func(jc *RunContext, i int) T) []T 
 			rc.Metrics.Merge(jc.Metrics)
 			if b, ok := jc.Tracer.(*telemetry.Buffer); ok {
 				b.ReplayTo(rc.Tracer)
-				// The job's results can keep its network, and through it
-				// this buffer, alive until the sweep returns.
+				// Reset hands the buffer's pages back for the next job
+				// to fill. The job's results can keep its network, and
+				// through it this buffer, alive until the sweep returns.
 				b.Reset()
 			}
 			kids[flushed] = nil

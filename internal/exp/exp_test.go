@@ -141,7 +141,8 @@ func TestAgentSetSaveLoad(t *testing.T) {
 
 // A flow with no RTT sample has AvgRTT 0: sec7-datacenter must leave it
 // out of the delay average (and print '-' when a CCA has no sampled flow
-// at all) rather than read starvation as low delay.
+// at all) rather than read starvation as low delay. The rule it shares
+// with every avg-delay column leaves a failed run out too.
 func TestSec7TableSkipsStarvedFlows(t *testing.T) {
 	flow := func(rttMs float64, samples int64) Metrics {
 		f := &netem.Flow{}
@@ -165,5 +166,12 @@ func TestSec7TableSkipsStarvedFlows(t *testing.T) {
 		if got := tbl.Rows[i][2]; got != want {
 			t.Errorf("%s: avg delay %q, want %q", ccas[i], got, want)
 		}
+	}
+	var d delayMean
+	for _, m := range []Metrics{flow(2, 10), {Failed: true}, flow(0, 0)} {
+		d.add(m)
+	}
+	if got := d.format(2); got != "2.00" || d.starved != 2 {
+		t.Errorf("sampled, failed and starved flows: avg delay %q with %d starved, want \"2.00\" with 2", got, d.starved)
 	}
 }

@@ -35,22 +35,25 @@ func runFig1(rc *RunContext) *Report {
 		Name: "link utilisation / avg delay (ms) per scenario",
 		Cols: append([]string{"cca"}, scenarioNames(scenarios)...),
 	}
+	starved := 0
 	for ci, name := range ccas {
 		row := []string{name}
 		for si := range scenarios {
-			var u, d float64
+			var u float64
+			var d delayMean
 			for r := 0; r < reps; r++ {
 				m := ms[(ci*len(scenarios)+si)*reps+r]
 				u += m.Util
-				d += m.DelayMs
+				d.add(m)
 			}
 			u /= float64(reps)
-			d /= float64(reps)
-			row = append(row, fmtF(u, 2)+" / "+fmtF(d, 0))
+			starved += d.starved
+			row = append(row, fmtF(u, 2)+" / "+d.format(0))
 		}
 		tbl.AddRow(row...)
 	}
-	return &Report{ID: "fig1", Title: "Adaptability under wired / cellular networks", Tables: []Table{tbl}}
+	return &Report{ID: "fig1", Title: "Adaptability under wired / cellular networks", Tables: []Table{tbl},
+		Notes: starvedNotes(starved)}
 }
 
 func scenarioNames(ss []Scenario) []string {

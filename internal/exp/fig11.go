@@ -42,6 +42,7 @@ func runFig11(rc *RunContext) *Report {
 	variants := utilityVariants()
 	libras := []string{"c-libra", "b-libra"}
 
+	starved := 0
 	single := func(name string, ss []Scenario) Table {
 		tbl := Table{Name: name, Cols: []string{"variant", "util", "avg delay(ms)"}}
 		// One job per (libra variant, utility, scenario) flow.
@@ -52,14 +53,15 @@ func runFig11(rc *RunContext) *Report {
 		})
 		for li, lname := range libras {
 			for vi, v := range variants {
-				var u, d float64
+				var u float64
+				var d delayMean
 				for si := range ss {
 					m := ms[(li*len(variants)+vi)*len(ss)+si]
 					u += m.Util
-					d += m.DelayMs
+					d.add(m)
 				}
-				n := float64(len(ss))
-				tbl.AddRow(lname+"-"+v.Name, fmtF(u/n, 3), fmtF(d/n, 0))
+				starved += d.starved
+				tbl.AddRow(lname+"-"+v.Name, fmtF(u/float64(len(ss)), 3), d.format(0))
 			}
 		}
 		return tbl
@@ -100,5 +102,6 @@ func runFig11(rc *RunContext) *Report {
 
 	return &Report{ID: "fig11", Title: "Flexibility via utility weights",
 		Tables: []Table{t1, t2, t3, t4},
-		Notes:  []string{"0.5 share = fair split vs CUBIC; Th variants should sit above La variants"}}
+		Notes: append([]string{"0.5 share = fair split vs CUBIC; Th variants should sit above La variants"},
+			starvedNotes(starved)...)}
 }

@@ -58,21 +58,25 @@ func runFig19(rc *RunContext) *Report {
 
 	tbl := Table{Name: "C-Libra under different stage durations",
 		Cols: []string{"[explore,EI,exploit]", "wired util", "wired delay(ms)", "cell util", "cell delay(ms)"}}
+	starved := 0
 	for di, d := range durations {
-		avg := func(lo, n int) (float64, float64) {
-			var u, dl float64
+		avg := func(lo, n int) (float64, string) {
+			var u float64
+			var dl delayMean
 			for k := 0; k < n; k++ {
 				m := ms[di*len(scens)+lo+k]
 				u += m.Util
-				dl += m.DelayMs
+				dl.add(m)
 			}
-			return u / float64(n), dl / float64(n)
+			starved += dl.starved
+			return u / float64(n), dl.format(0)
 		}
 		wu, wd := avg(0, len(wired))
 		cu, cd := avg(len(wired), len(cell))
-		tbl.AddRow(d.name, fmtF(wu, 3), fmtF(wd, 0), fmtF(cu, 3), fmtF(cd, 0))
+		tbl.AddRow(d.name, fmtF(wu, 3), wd, fmtF(cu, 3), cd)
 	}
-	return &Report{ID: "fig19", Title: "Stage-duration sensitivity", Tables: []Table{tbl}}
+	return &Report{ID: "fig19", Title: "Stage-duration sensitivity", Tables: []Table{tbl},
+		Notes: starvedNotes(starved)}
 }
 
 func runTab7(rc *RunContext) *Report {
@@ -100,17 +104,20 @@ func runTab7(rc *RunContext) *Report {
 
 	tbl := Table{Name: "C-Libra under different switching thresholds",
 		Cols: []string{"config", "util", "avg delay(ms)"}}
+	starved := 0
 	for fi, fam := range fams {
 		for ti, th := range ths {
-			var u, d float64
+			var u float64
+			var d delayMean
 			for k := 0; k < per; k++ {
 				m := ms[(fi*len(ths)+ti)*per+k]
 				u += m.Util
-				d += m.DelayMs
+				d.add(m)
 			}
-			n := float64(per)
-			tbl.AddRow(fam.name+"-"+fmtF(th, 1)+"x", fmtF(u/n, 3), fmtF(d/n, 0))
+			starved += d.starved
+			tbl.AddRow(fam.name+"-"+fmtF(th, 1)+"x", fmtF(u/float64(per), 3), d.format(0))
 		}
 	}
-	return &Report{ID: "tab7", Title: "Threshold sensitivity", Tables: []Table{tbl}}
+	return &Report{ID: "tab7", Title: "Threshold sensitivity", Tables: []Table{tbl},
+		Notes: starvedNotes(starved)}
 }

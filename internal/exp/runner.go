@@ -287,3 +287,40 @@ func (rc *RunContext) Repeat(s Scenario, mk func(*RunContext) Maker, reps int) [
 
 // fmtF formats a float with the given precision.
 func fmtF(v float64, prec int) string { return fmt.Sprintf("%.*f", prec, v) }
+
+// delayMean averages DelayMs over the flows that have a delay. A failed
+// run or a flow that got no RTT sample is left out and counted as
+// starved: its zero mean RTT would read as low delay, when it has no
+// delay to average at all.
+type delayMean struct {
+	sum              float64
+	sampled, starved int
+}
+
+// add folds one flow in.
+func (d *delayMean) add(m Metrics) {
+	if m.Failed || m.Flow.Stats.RTTCount == 0 {
+		d.starved++
+		return
+	}
+	d.sum += m.DelayMs
+	d.sampled++
+}
+
+// format renders the mean with the given precision, or "-" when no
+// flow had a delay.
+func (d *delayMean) format(prec int) string {
+	if d.sampled == 0 {
+		return "-"
+	}
+	return fmtF(d.sum/float64(d.sampled), prec)
+}
+
+// starvedNotes returns the report note for n flows left out of a
+// report's delay averages; none when n is 0.
+func starvedNotes(n int) []string {
+	if n == 0 {
+		return nil
+	}
+	return []string{fmt.Sprintf("%d flow(s) failed or got no RTT sample and are left out of avg delay ('-' when none is left): a starved flow has no delay to average, not a low one", n)}
+}

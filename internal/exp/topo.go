@@ -29,12 +29,14 @@ type TopoLink struct {
 	PeriodS float64 `json:"period_s,omitempty"`
 	// DelayMs is the one-way propagation delay in milliseconds.
 	DelayMs float64 `json:"delay_ms,omitempty"`
-	// Buffer is the droptail queue limit in bytes (default 150 KB).
+	// Buffer is the droptail queue limit in bytes (default 150 KB),
+	// counting the packet in service.
 	Buffer int `json:"buffer,omitempty"`
 	// Loss is the iid stochastic drop probability at ingress.
 	Loss float64 `json:"loss,omitempty"`
 	// ECN, when positive, CE-marks packets enqueued over this many
-	// queued bytes; CoDel enables the AQM at dequeue.
+	// queued bytes (the packet in service counts); CoDel enables the
+	// AQM at dequeue.
 	ECN   int  `json:"ecn,omitempty"`
 	CoDel bool `json:"codel,omitempty"`
 	// Faults composes adversarial dynamics onto this link only; each

@@ -24,7 +24,7 @@ type Link struct {
 	label  string
 	cap    trace.Trace
 	prop   time.Duration
-	buf    int // queue limit in bytes (excluding the packet in service)
+	buf    int // queue limit in bytes, counting the packet in service
 	ecn    int
 	codel  *CoDel
 	loss   float64
@@ -131,8 +131,10 @@ func newLink(eng *sim.Engine, spec LinkSpec, seed int64, sink func(*Packet), dro
 	return l
 }
 
-// QueuedBytes returns the current queue occupancy (excluding the packet
-// in service).
+// QueuedBytes returns the current queue occupancy, counting the packet
+// in service: a packet occupies the buffer until its serialisation
+// ends. The tail-drop limit and the ECN threshold both test this
+// figure.
 func (l *Link) QueuedBytes() int { return l.qByte }
 
 // MeanQueueBytes returns the time-averaged queue occupancy up to now.

@@ -95,3 +95,37 @@ func TestMeanQueueBytes(t *testing.T) {
 		}
 	}
 }
+
+// The buffer limit counts the packet in service: with a 3000-byte
+// buffer, a burst of four 1000-byte packets admits three, the first of
+// which goes straight into service, and tail-drops the fourth.
+// QueuedBytes reads 3000 while the first packet is still serialising.
+func TestBufferCountsPacketInService(t *testing.T) {
+	eng := sim.New()
+	var tail, delivered int
+	l := newLink(eng, LinkSpec{Capacity: trace.Constant(trace.Mbps(8)), BufferBytes: 3000}, 1,
+		func(*Packet) { delivered++ },
+		func(_ *Packet, stochastic bool) {
+			if !stochastic {
+				tail++
+			}
+		}, nil)
+	var queued int
+	eng.AtCall(0, func(any) {
+		for i := 0; i < 4; i++ {
+			l.Enqueue(&Packet{Seq: int64(i), Size: 1000})
+		}
+	}, nil)
+	// 8 Mbit/s serialises a 1000-byte packet in 1 ms.
+	eng.AtCall(500*time.Microsecond, func(any) { queued = l.QueuedBytes() }, nil)
+	eng.Run(10 * time.Millisecond)
+	if tail != 1 || l.DropStats().Tail != 1 {
+		t.Fatalf("tail drops = %d (DropStats %d), want 1", tail, l.DropStats().Tail)
+	}
+	if queued != 3000 {
+		t.Fatalf("QueuedBytes with the first packet in service = %d, want 3000", queued)
+	}
+	if delivered != 3 || l.DeliveredBytes() != 3000 {
+		t.Fatalf("delivered %d packets (%d bytes), want 3 (3000)", delivered, l.DeliveredBytes())
+	}
+}

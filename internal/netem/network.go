@@ -16,7 +16,8 @@ type Config struct {
 	// MinRTT is the round-trip propagation delay, split evenly between
 	// the forward (post-serialization) and ACK directions.
 	MinRTT time.Duration
-	// BufferBytes is the droptail queue limit.
+	// BufferBytes is the droptail queue limit, counting the packet in
+	// service (see LinkSpec.BufferBytes).
 	BufferBytes int
 	// LossRate is the iid stochastic loss probability.
 	LossRate float64

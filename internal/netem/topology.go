@@ -27,12 +27,14 @@ type LinkSpec struct {
 	// PropDelay is the one-way propagation delay applied after
 	// serialization.
 	PropDelay time.Duration
-	// BufferBytes is the droptail queue limit (default 150 KB).
+	// BufferBytes is the droptail queue limit (default 150 KB). It
+	// counts the packet in service, which holds its bytes until its
+	// serialisation ends.
 	BufferBytes int
 	// LossRate is the iid stochastic loss probability at ingress.
 	LossRate float64
 	// ECNThreshold, when positive, CE-marks packets enqueued while the
-	// queue exceeds this many bytes.
+	// queue, counting the packet in service, exceeds this many bytes.
 	ECNThreshold int
 	// CoDel enables Controlled-Delay AQM at this link's dequeue.
 	CoDel bool

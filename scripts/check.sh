@@ -32,18 +32,22 @@ ANALYZE_BENCH_GUARD=1 go test ./internal/analyze/ -run TestFeedBudget -count=1 -
 # Event-engine hot path: 0 allocs/event + 250 ns/event budget on each
 # of the engine's three paths (a self-rescheduling callback, delay-line
 # delivery with an RTO-style deadline re-set, and the pacing deadline's
-# set-fire-set cycle), 0 allocs in a warm end-to-end netem run, and the
-# heap bounded by the network's shape rather than by the packets in
-# flight. Timings come from the
+# set-fire-set cycle), 0 allocs in a warm single-bottleneck run and in
+# a warm multi-hop run, and the heap bounded by the network's shape
+# rather than by the packets in flight. Timings come from the
 # repository benchmark (bash benchmark/run.sh).
 CORE_BENCH_GUARD=1 go test ./internal/sim/ -run TestEngineBudget -count=1 -v
-go test ./internal/netem/ -run 'TestNetemSteadyStateAllocs|TestEngineHeapBound' -count=1 -v
+go test ./internal/netem/ -run 'TestNetemSteadyStateAllocs|TestTopoSteadyStateAllocs|TestEngineHeapBound' -count=1 -v
 # Flight-recorder hot path: the always-on ring append must stay 0
 # allocs and <= 50 ns/event.
 FLIGHT_BENCH_GUARD=1 go test ./internal/telemetry/ -run TestFlightEmitBudget -count=1 -v
 # Time-series collector hot path: the per-event downsampling feed must
 # stay 0 allocs in steady state and <= 50 ns/event.
 TIMESERIES_BENCH_GUARD=1 go test ./internal/telemetry/ -run TestTimeSeriesBudget -count=1 -v
+# Traced sweeps: a reused trace Buffer's Emit/ReplayTo/Reset cycle
+# allocates nothing once warm, because its pages come back from the
+# pool.
+go test ./internal/telemetry/ -run TestBufferSteadyStateAllocs -count=1 -v
 # Agent-inference hot path: per-flow PPO.Act baseline vs the batched
 # evaluation path (one actor GEMM per cohort + seeded noise) at batch
 # 1/16/256, recorded into BENCH_nn.json with the >=4x inferences/sec
