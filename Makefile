@@ -21,9 +21,12 @@ race:
 # testing.Benchmark; the nanosecond assertion only arms when
 # TELEMETRY_BENCH_GUARD is set, because it needs this package run in
 # isolation (a parallel ./... sweep measures CPU contention instead).
+# The analyzer and detector feeds ride along: 0 allocs and < 500
+# ns/event on the standing mix, the recorded lab mix and the detector
+# fold alone, and the detector at 0 allocs across run ends.
 bench-guard:
 	TELEMETRY_BENCH_GUARD=1 $(GO) test ./internal/telemetry/ -run TestNopTracerBudget -count=1 -v
-	ANALYZE_BENCH_GUARD=1 $(GO) test ./internal/analyze/ -run TestFeedBudget -count=1 -v
+	ANALYZE_BENCH_GUARD=1 $(GO) test ./internal/analyze/ -run 'TestFeedBudget|TestDetectorSteadyStateAllocs' -count=1 -v
 
 # Event-engine hot path: asserts 0 allocs/event and the 250 ns/event
 # budget on each of the engine's three paths (a self-rescheduling

@@ -11,6 +11,10 @@
 // restart at 0; the detectors and the fairness windows are scoped to one
 // run, which ends at the harness's scenario span.
 //
+// The detectors are one fold, Detector, which taps needing only them
+// (flight-dump triggers, lab evaluations) use alone; the Analyzer feeds
+// one and reports its counters.
+//
 // Memory discipline: nothing is retained per event. State is O(flows)
 // sketches and counters, the open run's O(windows × flows) fairness
 // accumulators and one Jain value per closed window — a few KB per flow
@@ -26,8 +30,8 @@ package analyze
 import (
 	"io"
 	"math"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -49,8 +53,8 @@ type Config struct {
 	// are the telemetry Anomaly* constants (rate_collapse,
 	// no_ack_streak, utility_regression). It is invoked on the feeding
 	// goroutine with the analyzer lock held, so implementations must
-	// not call back into the analyzer; the CLIs wire it to the flight
-	// recorder's TriggerDump.
+	// not call back into the analyzer. A tap that needs only this
+	// callback (the CLIs' flight-dump trigger) uses a Detector instead.
 	OnAnomaly func(flow int, t int64, reason string)
 	// SLOs are the per-profile objectives evaluated per fairness
 	// window. Nil selects DefaultSLOs(); an empty non-nil slice
@@ -73,13 +77,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// recoveryWindow bounds how long after an outage ends a flow has to
-// regain half its pre-outage base rate before the rate-collapse anomaly
-// fires.
-const recoveryWindow = 10 * time.Second
-
-// Winner indices into the per-flow win counters (mirrors
-// core.Candidate's string order).
+// Winner indices into the per-flow win counters, in the canonical
+// reporting order (mirrors core.Candidate's string order).
 const (
 	winPrev = iota
 	winCl
@@ -87,45 +86,22 @@ const (
 	nWinners
 )
 
-// winnerNames is the canonical reporting order.
 var winnerNames = [nWinners]string{"x_prev", "x_cl", "x_rl"}
 
-func winnerIndex(s string) int {
-	switch s {
-	case "x_prev":
-		return winPrev
-	case "x_cl":
-		return winCl
-	case "x_rl":
-		return winRl
-	}
-	return -1
-}
+// winnerIndex maps a winner name to its index; -1 when unknown.
+func winnerIndex(s string) int { return slices.Index(winnerNames[:], s) }
 
-// Stage indices for duration attribution (mirrors core.Stage strings).
+// Stage indices for duration attribution (mirrors core.Stage strings);
+// an explore stage opens a control cycle.
 const (
 	stExplore = iota
-	stEvalFirst
-	stEvalSecond
-	stExploit
-	nStages
+	nStages   = 4
 )
 
 var stageNames = [nStages]string{"explore", "eval-1", "eval-2", "exploit"}
 
-func stageIndex(s string) int {
-	switch s {
-	case "explore":
-		return stExplore
-	case "eval-1":
-		return stEvalFirst
-	case "eval-2":
-		return stEvalSecond
-	case "exploit":
-		return stExploit
-	}
-	return -1
-}
+// stageIndex maps a stage name to its index; -1 when unknown.
+func stageIndex(s string) int { return slices.Index(stageNames[:], s) }
 
 // flowState is the bounded per-flow accumulator.
 type flowState struct {
@@ -154,7 +130,6 @@ type flowState struct {
 	// Control-cycle reconstruction.
 	cycleStartT    int64
 	haveCycleStart bool
-	cycles         int64 // decision + no_ack
 	decided        int64
 	skipped        int64
 	earlyExits     int64
@@ -173,29 +148,6 @@ type flowState struct {
 
 	sentBytes int64
 	drops     int64
-
-	// Anomaly state. preOutageRate snapshots the base rate when a
-	// no-ACK streak begins; outage is set by an episode's first decay
-	// cycle and cleared by the "recover" marker, which also arms the
-	// recovery watch.
-	noAckStreak    int64
-	maxNoAckStreak int64
-	noAckEpisodes  int64
-	decays         int64
-	outage         bool
-	lastXPrev      float64
-	preOutageRate  float64
-	watching       bool
-	watchDeadline  int64
-	recoveryMax    float64
-	collapses      int64
-
-	// Utility-regression EWMA over winner utilities.
-	uEwma           float64
-	ewmaInit        bool
-	regressStreak   int64
-	regressedCycles int64
-	regressions     int64
 }
 
 // linkState aggregates the link-level (flow -1) events. The analyzer
@@ -218,6 +170,43 @@ func newLinkState() linkState {
 		capMbps:    stats.NewSketch(0),
 		drops:      make(map[string]int64, 8),
 	}
+}
+
+// feed folds one link-level event (drop, queue sample or fault) in.
+func (ls *linkState) feed(e *telemetry.Event) {
+	switch e.Type {
+	case telemetry.TypeDrop:
+		ls.drops[e.Reason]++
+		ls.dropBytes += e.Bytes
+	case telemetry.TypeQueue:
+		ls.queueBytes.Add(float64(e.Queue))
+		if e.Rate > 0 {
+			ls.capMbps.Add(e.Rate * 8 / 1e6)
+		}
+	case telemetry.TypeFault:
+		switch e.Reason {
+		case telemetry.FaultBlackoutStart:
+			ls.faultWin++
+			ls.blackouts++
+		case telemetry.FaultBlackoutEnd, telemetry.FaultFlapStart, telemetry.FaultFlapEnd:
+			ls.faultWin++
+		default: // reorder / dup / spike — per-packet mutations
+			ls.faultPkt++
+		}
+	}
+}
+
+// merge adds o's sketches and counters into ls.
+func (ls *linkState) merge(o *linkState) {
+	ls.queueBytes.Merge(o.queueBytes)
+	ls.capMbps.Merge(o.capMbps)
+	for r, n := range o.drops {
+		ls.drops[r] += n
+	}
+	ls.dropBytes += o.dropBytes
+	ls.faultWin += o.faultWin
+	ls.faultPkt += o.faultPkt
+	ls.blackouts += o.blackouts
 }
 
 // window accumulates per-flow bytes enqueued inside one fairness
@@ -288,6 +277,7 @@ func appendJains(dst []float64, wins map[int64]*window) []float64 {
 type Analyzer struct {
 	mu     sync.Mutex
 	cfg    Config
+	det    *Detector // the anomaly detectors and the latest event time
 	events int64
 	byType map[telemetry.Type]int64
 	flows  map[int]*flowState
@@ -301,13 +291,13 @@ type Analyzer struct {
 	jains []float64
 	past  map[int64]*window
 	slo   []map[int64]*sloWin // per RTT-based spec, by window index
-	lastT int64
 }
 
 // New returns an empty analyzer.
 func New(cfg Config) *Analyzer {
 	a := &Analyzer{
 		cfg:    cfg.withDefaults(),
+		det:    NewDetector(cfg.OnAnomaly),
 		byType: make(map[telemetry.Type]int64, 16),
 		flows:  make(map[int]*flowState, 8),
 		link:   newLinkState(),
@@ -376,9 +366,7 @@ func (a *Analyzer) linkFor(label string) *linkState {
 func (a *Analyzer) feed(e *telemetry.Event) {
 	a.events++
 	a.byType[e.Type]++
-	if e.T > a.lastT {
-		a.lastT = e.T
-	}
+	a.det.Emit(e)
 	switch e.Type {
 	case telemetry.TypeStage:
 		fs := a.flow(e.Flow)
@@ -401,10 +389,8 @@ func (a *Analyzer) feed(e *telemetry.Event) {
 		fs := a.flow(e.Flow)
 		fs.events++
 		fs.earlyExits++
-	case telemetry.TypeDecision:
-		a.feedDecision(e)
-	case telemetry.TypeNoAck:
-		a.feedNoAck(e)
+	case telemetry.TypeDecision, telemetry.TypeNoAck:
+		a.feedCycle(e)
 	case telemetry.TypeEnqueue:
 		fs := a.flow(e.Flow)
 		fs.events++
@@ -423,35 +409,15 @@ func (a *Analyzer) feed(e *telemetry.Event) {
 			a.wins[idx] = w
 		}
 		w.bytes[e.Flow] += e.Bytes
-	case telemetry.TypeDrop:
-		a.link.drops[e.Reason]++
-		a.link.dropBytes += e.Bytes
+	case telemetry.TypeDrop, telemetry.TypeQueue, telemetry.TypeFault:
+		a.link.feed(e)
 		if e.Link != "" {
-			ls := a.linkFor(e.Link)
-			ls.drops[e.Reason]++
-			ls.dropBytes += e.Bytes
+			a.linkFor(e.Link).feed(e)
 		}
-		if e.Flow >= 0 {
+		if e.Type == telemetry.TypeDrop && e.Flow >= 0 {
 			fs := a.flow(e.Flow)
 			fs.events++
 			fs.drops++
-		}
-	case telemetry.TypeQueue:
-		a.link.queueBytes.Add(float64(e.Queue))
-		if e.Rate > 0 {
-			a.link.capMbps.Add(e.Rate * 8 / 1e6)
-		}
-		if e.Link != "" {
-			ls := a.linkFor(e.Link)
-			ls.queueBytes.Add(float64(e.Queue))
-			if e.Rate > 0 {
-				ls.capMbps.Add(e.Rate * 8 / 1e6)
-			}
-		}
-	case telemetry.TypeFault:
-		feedFault(&a.link, e.Reason)
-		if e.Link != "" {
-			feedFault(a.linkFor(e.Link), e.Reason)
 		}
 	case telemetry.TypeAction:
 		fs := a.flow(e.Flow)
@@ -459,69 +425,45 @@ func (a *Analyzer) feed(e *telemetry.Event) {
 	case telemetry.TypeProfile:
 		a.bindProfile(a.flow(e.Flow), e.Name)
 	case telemetry.TypeSpan:
-		if e.Flow == -1 && e.Reason == telemetry.SpanEnd && strings.HasPrefix(e.Name, "scenario:") {
-			a.endRun(e.T)
+		if isRunEnd(e) {
+			// The run's fairness windows fold into per-window Jain
+			// values over its own senders; the next run reuses the
+			// window indices.
+			a.jains = appendJains(a.jains, a.wins)
+			addWindows(a.past, a.wins)
+			clear(a.wins)
 		}
 	}
 }
 
-// endRun closes one harness run at its scenario span end: open
-// recovery watches resolve at t, the run's fairness windows fold into
-// per-window Jain values over its own senders, and every flow's
-// detector state starts afresh, since the next run reuses the flow IDs
-// and window indices. Callers hold a.mu.
-func (a *Analyzer) endRun(t int64) {
-	a.jains = appendJains(a.jains, a.wins)
-	addWindows(a.past, a.wins)
-	clear(a.wins)
-	for _, fs := range a.sortedFlows() {
-		if fs.watching {
-			a.closeWatch(fs, t)
-		}
-		fs.noAckStreak, fs.outage = 0, false
-		fs.lastXPrev, fs.preOutageRate = 0, 0
-		fs.uEwma, fs.ewmaInit, fs.regressStreak = 0, false, 0
-	}
-}
-
-// sortedFlows returns the flow states in flow-ID order, so detectors
-// resolved together fire in a deterministic order. Callers hold a.mu.
-func (a *Analyzer) sortedFlows() []*flowState {
-	out := make([]*flowState, 0, len(a.flows))
-	for _, fs := range a.flows {
-		out = append(out, fs)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
-}
-
-// feedFault classifies one fault event into a link state's counters.
-func feedFault(ls *linkState, reason string) {
-	switch reason {
-	case telemetry.FaultBlackoutStart:
-		ls.faultWin++
-		ls.blackouts++
-	case telemetry.FaultBlackoutEnd, telemetry.FaultFlapStart, telemetry.FaultFlapEnd:
-		ls.faultWin++
-	default: // reorder / dup / spike — per-packet mutations
-		ls.faultPkt++
-	}
-}
-
-// feedDecision folds one end-of-cycle argmax event in.
-func (a *Analyzer) feedDecision(e *telemetry.Event) {
+// feedCycle folds one control-cycle end in: a decision, a no-feedback
+// cycle, or the outage-recovery marker, which ends no cycle.
+func (a *Analyzer) feedCycle(e *telemetry.Event) {
 	fs := a.flow(e.Flow)
 	fs.events++
-	fs.cycles++
-	fs.decided++
-	fs.noAckStreak = 0
-
-	wi := winnerIndex(e.Winner)
-	if wi >= 0 {
-		fs.wins[wi]++
+	if e.Type == telemetry.TypeNoAck {
+		if e.Reason == "recover" {
+			return
+		}
+		fs.skipped++
+	} else {
+		fs.decided++
+		wi := winnerIndex(e.Winner)
+		if wi >= 0 {
+			fs.wins[wi]++
+		}
+		// The winner utility's Eq. 1 decomposition. The traced triple is
+		// present (thr>0) for every winner scored on a real interval.
+		if e.Thr > 0 {
+			fs.decompCycles++
+			fs.uSum += winnerUtility(e, wi)
+			fs.thrSum += a.cfg.Util.Alpha * math.Pow(e.Thr, a.cfg.Util.T)
+			fs.delaySum += a.cfg.Util.Beta * e.Thr * math.Max(0, e.Grad)
+			fs.lossSum += a.cfg.Util.Gamma * e.Thr * math.Max(0, e.Loss)
+		}
 	}
 
-	// Cycle length: decision closes the cycle; the next one starts at
+	// Cycle length: the event closes the cycle; the next one starts at
 	// the same instant (startCycle emits its explore stage event at the
 	// decision timestamp).
 	if fs.haveCycleStart && e.T >= fs.cycleStartT {
@@ -529,141 +471,20 @@ func (a *Analyzer) feedDecision(e *telemetry.Event) {
 	}
 	fs.cycleStartT = e.T
 	fs.haveCycleStart = true
-
-	if e.RTT > 0 {
-		fs.rttMs.Add(float64(e.RTT) / 1e6)
-		a.feedSLORtt(fs, e.T, float64(e.RTT)/1e6)
-	}
-
-	// Winner utility and its Eq. 1 decomposition. The traced triple is
-	// present (thr>0) for every winner scored on a real interval.
-	var u float64
-	switch wi {
-	case winPrev:
-		u = e.UPrev
-	case winCl:
-		u = e.UCl
-	case winRl:
-		u = e.URl
-	}
-	if e.Thr > 0 {
-		fs.decompCycles++
-		fs.uSum += u
-		fs.thrSum += a.cfg.Util.Alpha * math.Pow(e.Thr, a.cfg.Util.T)
-		fs.delaySum += a.cfg.Util.Beta * e.Thr * math.Max(0, e.Grad)
-		fs.lossSum += a.cfg.Util.Gamma * e.Thr * math.Max(0, e.Loss)
-	}
-
-	// Utility-regression detector: a decided cycle whose winner
-	// utility falls under a quarter of the (positive) running EWMA is
-	// regressing; three consecutive regressing cycles flag one
-	// regression episode.
-	if !fs.ewmaInit {
-		fs.uEwma, fs.ewmaInit = u, true
-	} else {
-		if fs.uEwma > 0 && u < 0.25*fs.uEwma {
-			fs.regressedCycles++
-			fs.regressStreak++
-			if fs.regressStreak == 3 {
-				fs.regressions++
-				a.fireAnomaly(fs.id, e.T, telemetry.AnomalyRegression)
-			}
-		} else {
-			fs.regressStreak = 0
-		}
-		fs.uEwma = 0.9*fs.uEwma + 0.1*u
-	}
-
-	// Post-outage recovery watch.
-	fs.lastXPrev = e.XPrev
-	if fs.watching {
-		if e.XPrev > fs.recoveryMax {
-			fs.recoveryMax = e.XPrev
-		}
-		if e.T >= fs.watchDeadline {
-			a.closeWatch(fs, e.T)
-		}
-	}
-}
-
-// feedNoAck folds one no-feedback cycle (or the outage-recovery
-// marker) in.
-func (a *Analyzer) feedNoAck(e *telemetry.Event) {
-	fs := a.flow(e.Flow)
-	fs.events++
-	if e.Reason == "recover" {
-		// Outage ended: re-arm the no-ACK trigger and watch whether the
-		// base rate regains half its pre-outage level within the
-		// recovery window.
-		fs.noAckStreak, fs.outage = 0, false
-		if fs.preOutageRate > 0 {
-			fs.watching = true
-			fs.watchDeadline = e.T + int64(recoveryWindow)
-			fs.recoveryMax = e.XPrev
-		}
-		return
-	}
-	fs.cycles++
-	fs.skipped++
-	if fs.noAckStreak == 0 {
-		fs.preOutageRate = fs.lastXPrev
-	}
-	fs.noAckStreak++
-	if fs.noAckStreak > fs.maxNoAckStreak {
-		fs.maxNoAckStreak = fs.noAckStreak
-	}
-	if e.Reason == "decay" {
-		fs.decays++
-		if !fs.outage {
-			// The first decay cycle is where the core watchdog presumes
-			// the link down. Fires once per outage; recover re-arms it.
-			fs.outage = true
-			fs.noAckEpisodes++
-			a.fireAnomaly(fs.id, e.T, telemetry.AnomalyNoAckStreak)
-		}
-	}
-	if fs.haveCycleStart && e.T >= fs.cycleStartT {
-		fs.cycleMs.Add(float64(e.T-fs.cycleStartT) / 1e6)
-	}
-	fs.cycleStartT = e.T
-	fs.haveCycleStart = true
 	if e.RTT > 0 {
 		fs.rttMs.Add(float64(e.RTT) / 1e6)
 		a.feedSLORtt(fs, e.T, float64(e.RTT)/1e6)
 	}
 }
 
-// closeWatch resolves a pending post-outage recovery watch. Callers
-// hold a.mu; t is the trace time the watch resolved at.
-func (a *Analyzer) closeWatch(fs *flowState, t int64) {
-	if fs.recoveryMax < 0.5*fs.preOutageRate {
-		fs.collapses++
-		a.fireAnomaly(fs.id, t, telemetry.AnomalyCollapse)
-	}
-	fs.watching = false
-}
-
-// fireAnomaly invokes the configured anomaly callback, if any.
-// Callers hold a.mu.
-func (a *Analyzer) fireAnomaly(flow int, t int64, reason string) {
-	if a.cfg.OnAnomaly != nil {
-		a.cfg.OnAnomaly(flow, t, reason)
-	}
-}
-
-// Finalize resolves state that only settles at end of stream: pending
-// post-outage recovery watches are evaluated with whatever the flow
-// managed before the trace ended. Call once after the last event and
-// before Merge/Report; live taps may skip it (pending watches simply
-// have not fired yet).
+// Finalize resolves the detectors' end-of-stream state (see
+// Detector.Finalize). Call once after the last event and before
+// Merge/Report; live taps may skip it (pending watches simply have not
+// fired yet).
 func (a *Analyzer) Finalize() {
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, fs := range a.sortedFlows() {
-		if fs.watching {
-			a.closeWatch(fs, a.lastT)
-		}
-	}
+	a.det.Finalize()
+	a.mu.Unlock()
 }
 
 // Merge folds b into a (b is left untouched but must not be feeding
@@ -687,9 +508,7 @@ func (a *Analyzer) Merge(b *Analyzer) {
 	for t, n := range b.byType {
 		a.byType[t] += n
 	}
-	if b.lastT > a.lastT {
-		a.lastT = b.lastT
-	}
+	a.det.merge(b.det)
 	for id, bf := range b.flows {
 		af := a.flow(id)
 		if af.name == "" {
@@ -705,7 +524,6 @@ func (a *Analyzer) Merge(b *Analyzer) {
 		for i := range af.stageNs {
 			af.stageNs[i] += bf.stageNs[i]
 		}
-		af.cycles += bf.cycles
 		af.decided += bf.decided
 		af.skipped += bf.skipped
 		af.earlyExits += bf.earlyExits
@@ -723,35 +541,10 @@ func (a *Analyzer) Merge(b *Analyzer) {
 		af.queueBytes.Merge(bf.queueBytes)
 		af.sentBytes += bf.sentBytes
 		af.drops += bf.drops
-		if bf.maxNoAckStreak > af.maxNoAckStreak {
-			af.maxNoAckStreak = bf.maxNoAckStreak
-		}
-		af.noAckEpisodes += bf.noAckEpisodes
-		af.decays += bf.decays
-		af.collapses += bf.collapses
-		af.regressions += bf.regressions
-		af.regressedCycles += bf.regressedCycles
 	}
-	a.link.queueBytes.Merge(b.link.queueBytes)
-	a.link.capMbps.Merge(b.link.capMbps)
-	for r, n := range b.link.drops {
-		a.link.drops[r] += n
-	}
-	a.link.dropBytes += b.link.dropBytes
-	a.link.faultWin += b.link.faultWin
-	a.link.faultPkt += b.link.faultPkt
-	a.link.blackouts += b.link.blackouts
+	a.link.merge(&b.link)
 	for label, bl := range b.links {
-		al := a.linkFor(label)
-		al.queueBytes.Merge(bl.queueBytes)
-		al.capMbps.Merge(bl.capMbps)
-		for r, n := range bl.drops {
-			al.drops[r] += n
-		}
-		al.dropBytes += bl.dropBytes
-		al.faultWin += bl.faultWin
-		al.faultPkt += bl.faultPkt
-		al.blackouts += bl.blackouts
+		a.linkFor(label).merge(bl)
 	}
 	a.jains = append(a.jains, b.jains...)
 	addWindows(a.wins, b.wins)

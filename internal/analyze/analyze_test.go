@@ -3,6 +3,7 @@ package analyze
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -402,32 +403,73 @@ func TestPerLinkAttribution(t *testing.T) {
 	}
 }
 
+// anomalyCounts is one flow's detector counters as a fold reports them.
+type anomalyCounts struct {
+	collapses, regressions, noAckEpisodes, maxNoAckStreak int64
+}
+
+// detectorFold is one of the two folds that run the anomaly detectors:
+// build returns it as a tracer with onAnomaly wired, its Finalize, and
+// a reader of one flow's counters.
+type detectorFold struct {
+	name  string
+	build func(onAnomaly func(flow int, t int64, reason string)) (telemetry.Tracer, func(), func(flow int) anomalyCounts)
+}
+
+// detectorFolds are the standalone Detector and the Analyzer, which
+// reports the counters of the Detector it feeds. Every test of a
+// detector rule runs against both.
+var detectorFolds = []detectorFold{
+	{"detector", func(on func(int, int64, string)) (telemetry.Tracer, func(), func(int) anomalyCounts) {
+		d := NewDetector(on)
+		return d, d.Finalize, func(flow int) anomalyCounts {
+			c := d.counts(flow)
+			return anomalyCounts{c.collapses, c.regressions, c.noAckEpisodes, c.maxNoAckStreak}
+		}
+	}},
+	{"analyzer", func(on func(int, int64, string)) (telemetry.Tracer, func(), func(int) anomalyCounts) {
+		a := New(Config{OnAnomaly: on})
+		return a, a.Finalize, func(flow int) anomalyCounts {
+			for _, fr := range a.Report().Flows {
+				if fr.ID == flow {
+					return anomalyCounts{fr.Collapses, fr.Regressions, fr.NoAckEpisodes, fr.MaxNoAckStreak}
+				}
+			}
+			return anomalyCounts{}
+		}
+	}},
+}
+
 // TestNoAckStreakOncePerOutage checks the no-ACK trigger fires once per
 // outage, at its first decay cycle: later decays of the same outage
 // stay quiet and a recover marker re-arms it. Silent cycles that never
 // decay (ACKs still arriving) fire nothing.
 func TestNoAckStreakOncePerOutage(t *testing.T) {
-	var fired []int64
-	a := New(Config{OnAnomaly: func(_ int, t int64, reason string) {
-		if reason == telemetry.AnomalyNoAckStreak {
-			fired = append(fired, t)
-		}
-	}})
-	emit := func(t int64, reason string) {
-		a.Emit(&telemetry.Event{T: t, Type: telemetry.TypeNoAck, Flow: 0, Reason: reason})
-	}
-	emit(90, "")
-	emit(95, "")
-	for i := int64(0); i < 3; i++ {
-		emit(100+i, "decay")
-	}
-	emit(200, "recover")
-	emit(300, "decay")
-	if len(fired) != 2 || fired[0] != 100 || fired[1] != 300 {
-		t.Fatalf("no_ack_streak fired at %v, want [100 300]", fired)
-	}
-	if got := a.Report().Flows[0].NoAckEpisodes; got != 2 {
-		t.Errorf("no-ACK episodes = %d, want 2", got)
+	for _, fold := range detectorFolds {
+		t.Run(fold.name, func(t *testing.T) {
+			var fired []int64
+			tap, _, counts := fold.build(func(_ int, t int64, reason string) {
+				if reason == telemetry.AnomalyNoAckStreak {
+					fired = append(fired, t)
+				}
+			})
+			emit := func(t int64, reason string) {
+				tap.Emit(&telemetry.Event{T: t, Type: telemetry.TypeNoAck, Flow: 0, Reason: reason})
+			}
+			emit(90, "")
+			emit(95, "")
+			for i := int64(0); i < 3; i++ {
+				emit(100+i, "decay")
+			}
+			emit(200, "recover")
+			emit(300, "decay")
+			if len(fired) != 2 || fired[0] != 100 || fired[1] != 300 {
+				t.Fatalf("no_ack_streak fired at %v, want [100 300]", fired)
+			}
+			if got := counts(0).noAckEpisodes; got != 2 {
+				t.Errorf("no-ACK episodes = %d, want 2", got)
+			}
+		})
 	}
 }
 
@@ -438,7 +480,8 @@ func TestNoAckStreakOncePerOutage(t *testing.T) {
 // a low but steady utility and flow 1 decays again. In each run's first
 // window one flow sends three times the other's bytes (Jain 0.8), flow
 // 0 in run a and flow 1 in run b, so pooling the runs' windows by index
-// would read one even window (Jain 1).
+// would read one even window (Jain 1). The detections are checked on
+// both detector folds, the fairness on the Analyzer.
 func TestDetectorsScopedToRun(t *testing.T) {
 	ms := func(n int64) int64 { return n * int64(time.Millisecond) }
 	decide := func(t int64, flow int, xprev, u float64) telemetry.Event {
@@ -466,41 +509,35 @@ func TestDetectorsScopedToRun(t *testing.T) {
 	}
 	runB = append(runB, noAck(280, 1, "decay", 6e5), end("b"))
 
-	type hit struct {
-		flow   int
-		t      int64
-		reason string
-	}
-	analyse := func(runs ...[]telemetry.Event) ([]hit, *Analyzer) {
-		var hits []hit
-		a := New(Config{OnAnomaly: func(flow int, t int64, reason string) {
-			hits = append(hits, hit{flow, t, reason})
-		}})
-		for _, run := range runs {
-			for i := range run {
-				a.Emit(&run[i])
-			}
-		}
-		a.Finalize()
-		return hits, a
-	}
-	hitsA, anA := analyse(runA)
-	hitsB, anB := analyse(runB)
-	apart := append(hitsA, hitsB...)
 	want := []hit{
 		{0, ms(480), telemetry.AnomalyNoAckStreak},
 		{1, ms(500), telemetry.AnomalyNoAckStreak},
 		{0, ms(1000), telemetry.AnomalyCollapse},
 		{1, ms(280), telemetry.AnomalyNoAckStreak},
 	}
-	if !reflect.DeepEqual(apart, want) {
-		t.Fatalf("runs analysed apart fired %v, want %v", apart, want)
-	}
-	whole, anWhole := analyse(runA, runB)
-	if !reflect.DeepEqual(whole, want) {
-		t.Fatalf("runs analysed together fired %v, want %v", whole, want)
+	for _, fold := range detectorFolds {
+		t.Run(fold.name, func(t *testing.T) {
+			apart := append(detect(fold, runA), detect(fold, runB)...)
+			if !reflect.DeepEqual(apart, want) {
+				t.Fatalf("runs analysed apart fired %v, want %v", apart, want)
+			}
+			if whole := detect(fold, runA, runB); !reflect.DeepEqual(whole, want) {
+				t.Fatalf("runs analysed together fired %v, want %v", whole, want)
+			}
+		})
 	}
 
+	analyse := func(runs ...[]telemetry.Event) *Analyzer {
+		a := New(Config{})
+		for _, run := range runs {
+			for i := range run {
+				a.Emit(&run[i])
+			}
+		}
+		a.Finalize()
+		return a
+	}
+	anA, anB, anWhole := analyse(runA), analyse(runB), analyse(runA, runB)
 	merged := New(Config{})
 	merged.Merge(anA)
 	merged.Merge(anB)
@@ -511,6 +548,116 @@ func TestDetectorsScopedToRun(t *testing.T) {
 	}
 	if got := anWhole.Report().Fairness; got != apartFair {
 		t.Fatalf("runs analysed together: fairness %+v, apart %+v", got, apartFair)
+	}
+}
+
+// hit is one anomaly callback.
+type hit struct {
+	flow   int
+	t      int64
+	reason string
+}
+
+// detect feeds the runs in order into a fresh fold, finalizes it and
+// returns the anomaly callbacks it fired, in firing order.
+func detect(fold detectorFold, runs ...[]telemetry.Event) []hit {
+	var hits []hit
+	tap, finalize, _ := fold.build(func(flow int, t int64, reason string) {
+		hits = append(hits, hit{flow, t, reason})
+	})
+	for _, run := range runs {
+		for i := range run {
+			tap.Emit(&run[i])
+		}
+	}
+	finalize()
+	return hits
+}
+
+// randomDetectorStream is a seeded stream of n events over five flows
+// that drives every detector rule: decisions whose winner utility
+// sometimes drops under a quarter of its level, silent cycles that
+// sometimes decay, recover markers after which a flow's rate sometimes
+// stays at a tenth of its level, enqueues the detectors skip, and
+// scenario span ends that restart the flows.
+func randomDetectorStream(seed int64, n int) []telemetry.Event {
+	const flows = 5
+	rng := rand.New(rand.NewSource(seed))
+	var level [flows]float64
+	for i := range level {
+		level[i] = 1e6
+	}
+	winners := []string{"x_prev", "x_cl", "x_rl", ""}
+	out := make([]telemetry.Event, 0, n)
+	var tm int64
+	for len(out) < n {
+		tm += rng.Int63n(int64(20 * time.Millisecond))
+		fl := rng.Intn(flows)
+		e := telemetry.Event{T: tm, Flow: fl}
+		switch r := rng.Intn(100); {
+		case r < 40:
+			u := 50 + 10*rng.Float64()
+			if rng.Float64() < 0.2 {
+				u = 20*rng.Float64() - 10
+			}
+			e.Type, e.Winner = telemetry.TypeDecision, winners[rng.Intn(len(winners))]
+			e.XPrev = level[fl] * (0.8 + 0.4*rng.Float64())
+			e.UPrev, e.UCl, e.URl = u, u, u
+		case r < 55:
+			e.Type, e.XPrev = telemetry.TypeNoAck, level[fl]
+			if rng.Intn(2) == 0 {
+				e.Reason = "decay"
+			}
+		case r < 60:
+			level[fl] = 1e6
+			if rng.Intn(2) == 0 {
+				level[fl] = 1e5
+			}
+			e.Type, e.Reason, e.XPrev = telemetry.TypeNoAck, "recover", level[fl]
+		case r < 98:
+			e.Type, e.Bytes = telemetry.TypeEnqueue, 1500
+		default:
+			e = telemetry.Event{T: tm, Type: telemetry.TypeSpan, Flow: -1, Reason: telemetry.SpanEnd, Name: "scenario:r"}
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// TestDetectorMatchesAnalyzer feeds one seeded random stream into the
+// standalone Detector and the Analyzer: both must fire the same
+// (flow, t, reason) callbacks in the same order and report the same
+// per-flow counters, and the stream must trip every detector.
+func TestDetectorMatchesAnalyzer(t *testing.T) {
+	stream := randomDetectorStream(24, 20000)
+	var hits [2][]hit
+	var counts [2]func(int) anomalyCounts
+	for i, fold := range detectorFolds {
+		tap, finalize, c := fold.build(func(flow int, t int64, reason string) {
+			hits[i] = append(hits[i], hit{flow, t, reason})
+		})
+		for j := range stream {
+			tap.Emit(&stream[j])
+		}
+		finalize()
+		counts[i] = c
+	}
+	if !reflect.DeepEqual(hits[0], hits[1]) {
+		t.Fatalf("detector fired %d callbacks, analyzer %d; sequences differ", len(hits[0]), len(hits[1]))
+	}
+	fired := map[string]int{}
+	for _, h := range hits[0] {
+		fired[h.reason]++
+	}
+	for _, reason := range []string{telemetry.AnomalyCollapse, telemetry.AnomalyNoAckStreak, telemetry.AnomalyRegression} {
+		if fired[reason] == 0 {
+			t.Errorf("stream never fired %s (fired %v)", reason, fired)
+		}
+	}
+	for flow := 0; flow < 5; flow++ {
+		if d, a := counts[0](flow), counts[1](flow); d != a {
+			t.Errorf("flow %d: detector counts %+v, analyzer %+v", flow, d, a)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"time"
 
@@ -146,7 +147,7 @@ func (a *Analyzer) Report() *Report {
 	r := &Report{
 		Events: a.events,
 		ByType: make(map[string]int64, len(a.byType)),
-		SpanMs: float64(a.lastT) / 1e6,
+		SpanMs: float64(a.det.lastT) / 1e6,
 		Flows:  []FlowReport{},
 	}
 	for t, n := range a.byType {
@@ -181,29 +182,26 @@ func (a *Analyzer) Report() *Report {
 
 // linkReport snapshots one link state.
 func linkReport(label string, ls *linkState) LinkReport {
-	lr := LinkReport{
+	return LinkReport{
 		Label:        label,
 		QueueBytes:   QuantilesOf(ls.queueBytes),
 		CapacityMbps: QuantilesOf(ls.capMbps),
-		Drops:        make(map[string]int64, len(ls.drops)),
+		Drops:        maps.Clone(ls.drops),
 		DropBytes:    ls.dropBytes,
 		FaultWindows: ls.faultWin,
 		FaultPackets: ls.faultPkt,
 		Blackouts:    ls.blackouts,
 	}
-	for reason, n := range ls.drops {
-		lr.Drops[reason] = n
-	}
-	return lr
 }
 
 // flowReport derives one flow's report. Callers hold a.mu.
 func (a *Analyzer) flowReport(fs *flowState) FlowReport {
+	an := a.det.counts(fs.id)
 	fr := FlowReport{
 		ID:             fs.id,
 		Name:           fs.name,
 		Events:         fs.events,
-		Cycles:         fs.cycles,
+		Cycles:         fs.decided + fs.skipped,
 		Decided:        fs.decided,
 		Skipped:        fs.skipped,
 		EarlyExits:     fs.earlyExits,
@@ -213,14 +211,14 @@ func (a *Analyzer) flowReport(fs *flowState) FlowReport {
 		QueueBytes:     QuantilesOf(fs.queueBytes),
 		SentBytes:      fs.sentBytes,
 		Drops:          fs.drops,
-		MaxNoAckStreak: fs.maxNoAckStreak,
-		Collapses:      fs.collapses,
-		Regressions:    fs.regressions,
-		NoAckEpisodes:  fs.noAckEpisodes,
+		MaxNoAckStreak: an.maxNoAckStreak,
+		Collapses:      an.collapses,
+		Regressions:    an.regressions,
+		NoAckEpisodes:  an.noAckEpisodes,
 		Anomalies:      []string{},
 	}
-	if fs.cycles > 0 {
-		fr.EarlyExitRate = float64(fs.earlyExits) / float64(fs.cycles)
+	if fr.Cycles > 0 {
+		fr.EarlyExitRate = float64(fs.earlyExits) / float64(fr.Cycles)
 	}
 	for i, n := range fs.wins {
 		ws := WinnerShare{Winner: winnerNames[i], Wins: n}
@@ -252,17 +250,17 @@ func (a *Analyzer) flowReport(fs *flowState) FlowReport {
 	}
 
 	// Anomaly flags, in a fixed order.
-	if fs.collapses > 0 {
+	if an.collapses > 0 {
 		fr.Anomalies = append(fr.Anomalies,
-			fmt.Sprintf("rate_collapse_after_blackout x%d (base rate stayed under 50%% of pre-outage level)", fs.collapses))
+			fmt.Sprintf("rate_collapse_after_blackout x%d (base rate stayed under 50%% of pre-outage level)", an.collapses))
 	}
-	if fs.maxNoAckStreak >= 2 {
+	if an.maxNoAckStreak >= 2 {
 		fr.Anomalies = append(fr.Anomalies,
-			fmt.Sprintf("no_ack_streak max %d consecutive silent cycles (%d decayed)", fs.maxNoAckStreak, fs.decays))
+			fmt.Sprintf("no_ack_streak max %d consecutive silent cycles (%d decayed)", an.maxNoAckStreak, an.decays))
 	}
-	if fs.regressions > 0 {
+	if an.regressions > 0 {
 		fr.Anomalies = append(fr.Anomalies,
-			fmt.Sprintf("utility_regression x%d episodes (%d cycles under 25%% of the running mean)", fs.regressions, fs.regressedCycles))
+			fmt.Sprintf("utility_regression x%d episodes (%d cycles under 25%% of the running mean)", an.regressions, an.regressedCycles))
 	}
 	return fr
 }
@@ -393,18 +391,8 @@ func (r *Report) WriteText(w io.Writer) error {
 	pf("  capacity Mbps: p50 %.2f  p95 %.2f  p99 %.2f  (mean %.2f)\n",
 		r.Link.CapacityMbps.P50, r.Link.CapacityMbps.P95, r.Link.CapacityMbps.P99,
 		r.Link.CapacityMbps.Mean)
-	reasons := make([]string, 0, len(r.Link.Drops))
-	for reason := range r.Link.Drops {
-		reasons = append(reasons, reason)
-	}
-	sort.Strings(reasons)
 	pf("  drops:        ")
-	if len(reasons) == 0 {
-		pf(" none")
-	}
-	for _, reason := range reasons {
-		pf(" %s %d", reason, r.Link.Drops[reason])
-	}
+	writeDrops(pf, r.Link.Drops)
 	pf(" (%d bytes)\n", r.Link.DropBytes)
 	if r.Link.FaultWindows > 0 || r.Link.FaultPackets > 0 {
 		pf("  faults:        %d window events (%d blackouts), %d packet mutations\n",
@@ -416,17 +404,7 @@ func (r *Report) WriteText(w io.Writer) error {
 		for _, l := range r.Links {
 			pf("  %s: queue B p50 %.0f p95 %.0f  cap Mbps p50 %.2f  drops:",
 				l.Label, l.QueueBytes.P50, l.QueueBytes.P95, l.CapacityMbps.P50)
-			reasons := make([]string, 0, len(l.Drops))
-			for reason := range l.Drops {
-				reasons = append(reasons, reason)
-			}
-			sort.Strings(reasons)
-			if len(reasons) == 0 {
-				pf(" none")
-			}
-			for _, reason := range reasons {
-				pf(" %s %d", reason, l.Drops[reason])
-			}
+			writeDrops(pf, l.Drops)
 			pf(" (%d bytes)", l.DropBytes)
 			if l.FaultWindows > 0 || l.FaultPackets > 0 {
 				pf("  faults: %d windows, %d packet mutations", l.FaultWindows, l.FaultPackets)
@@ -469,6 +447,21 @@ func (r *Report) WriteText(w io.Writer) error {
 	}
 	_, err := fmt.Fprintln(w)
 	return err
+}
+
+// writeDrops prints drop counts in reason order, or " none".
+func writeDrops(pf func(string, ...any), drops map[string]int64) {
+	reasons := make([]string, 0, len(drops))
+	for reason := range drops {
+		reasons = append(reasons, reason)
+	}
+	sort.Strings(reasons)
+	if len(reasons) == 0 {
+		pf(" none")
+	}
+	for _, reason := range reasons {
+		pf(" %s %d", reason, drops[reason])
+	}
 }
 
 // ExportMetrics mirrors the report's SLO attainment and cross-profile

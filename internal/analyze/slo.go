@@ -242,7 +242,7 @@ func (a *Analyzer) profileReports() ([]ProfileReport, *ProfileFairness) {
 	if len(names) == 0 {
 		return nil, nil
 	}
-	spanSec := float64(a.lastT) / 1e9
+	spanSec := float64(a.det.lastT) / 1e9
 	out := make([]ProfileReport, 0, len(names))
 	thrs := make([]float64, 0, len(names))
 	for _, p := range names {

@@ -170,18 +170,19 @@ func FlightTap(fl *telemetry.FlightRecorder) telemetry.Tracer {
 	return fl
 }
 
-// AnomalyTap returns a live analyzer tap that exists only to run the
-// streaming anomaly detectors (rate collapse, no-ACK streaks, utility
-// regression) and trigger flight dumps when one fires; nil when fl is
-// nil. Compose it AFTER the flight recorder in telemetry.Multi so the
-// triggering event is already in the ring when the dump is cut. The
-// detectors are purely event-driven, so dump triggers inherit the
+// AnomalyTap returns the detector fold (analyze.Detector: rate
+// collapse, no-ACK streaks, utility regression) wired to trigger a
+// flight dump when a detector fires; nil when fl is nil. It reads only
+// the decision, no_ack and scenario span-end events, not the full
+// analysis. Compose it AFTER the flight recorder in telemetry.Multi so
+// the triggering event is already in the ring when the dump is cut.
+// The detectors are purely event-driven, so dump triggers inherit the
 // event stream's worker-count independence.
 func AnomalyTap(fl *telemetry.FlightRecorder) telemetry.Tracer {
 	if fl == nil {
 		return nil
 	}
-	return analyze.New(analyze.Config{OnAnomaly: fl.TriggerDump})
+	return analyze.NewDetector(fl.TriggerDump)
 }
 
 // writeFile creates path and fills it with write. Empty path is a

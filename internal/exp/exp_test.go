@@ -5,6 +5,7 @@ import (
 	"libra/internal/rlcc"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -136,6 +137,34 @@ func TestAgentSetSaveLoad(t *testing.T) {
 	b := loaded.LibraRL.Policy.Mean(obs)[0]
 	if a != b {
 		t.Fatalf("loaded policy diverges: %v vs %v", a, b)
+	}
+}
+
+// fig16 divides every delay by the lowest. A starved flow (failed, or
+// no RTT sample) reads a zero delay, which as the lowest would turn
+// every norm.delay cell infinite: it must be left out of the minimum
+// and read "-", with every other cell finite and normalised over the
+// fed flows.
+func TestWanTableSkipsStarvedFlows(t *testing.T) {
+	flow := func(thr, rttMs float64, samples int64) Metrics {
+		f := &netem.Flow{}
+		f.Stats.RTTCount = samples
+		return Metrics{ThrMbps: thr, DelayMs: rttMs, LossRate: 0.01, Flow: f}
+	}
+	ccas := []string{"fed-low", "fed-high", "no-rtt", "failed"}
+	ms := []Metrics{flow(40, 200, 10), flow(20, 300, 10), flow(0, 0, 0), {Failed: true}}
+	tbl, starved := wanTable("inter-continental", ccas, ms)
+	if starved != 2 {
+		t.Errorf("starved = %d, want 2", starved)
+	}
+	want := [][]string{
+		{"fed-low", "1.000", "1.000", "0.0100"},
+		{"fed-high", "0.500", "1.500", "0.0100"},
+		{"no-rtt", "0.000", "-", "0.0100"},
+		{"failed", "0.000", "-", "0.0000"},
+	}
+	if !reflect.DeepEqual(tbl.Rows, want) {
+		t.Errorf("rows %v, want %v", tbl.Rows, want)
 	}
 }
 

@@ -65,36 +65,54 @@ func runFig16(rc *RunContext) *Report {
 	}
 	ccas := []string{"c-libra", "b-libra", "proteus", "bbr", "cubic", "orca"}
 
-	run := func(kind string) Table {
+	run := func(kind string) (Table, int) {
 		s, cross := wanScenario(kind, dur, rc.Seed)
-		type r struct{ thr, delay, loss float64 }
 		// Normalisation needs the whole CCA set, so it follows the sweep.
-		res := Sweep(rc, len(ccas), func(jc *RunContext, i int) r {
-			ms := jc.RunFlows(s, []Maker{CCAMaker(ccas[i], nil)(jc), func(seed int64) cc.Controller {
+		ms := Sweep(rc, len(ccas), func(jc *RunContext, i int) Metrics {
+			return jc.RunFlows(s, []Maker{CCAMaker(ccas[i], nil)(jc), func(seed int64) cc.Controller {
 				return cc.FixedRate{R: cross}
-			}}, []time.Duration{0, 0}, 0)
-			return r{ms[0].ThrMbps, ms[0].DelayMs, ms[0].LossRate}
+			}}, []time.Duration{0, 0}, 0)[0]
 		})
-		tbl := Table{Name: kind + "-continental", Cols: []string{"cca", "norm.thr", "norm.delay", "loss"}}
-		var bestThr, minDelay float64
-		minDelay = math.Inf(1)
-		for _, v := range res {
-			if v.thr > bestThr {
-				bestThr = v.thr
-			}
-			if v.delay < minDelay {
-				minDelay = v.delay
-			}
-		}
-		for i, name := range ccas {
-			v := res[i]
-			tbl.AddRow(name, fmtF(v.thr/bestThr, 3), fmtF(v.delay/minDelay, 3), fmtF(v.loss, 4))
-		}
-		return tbl
+		return wanTable(kind+"-continental", ccas, ms)
 	}
+	inter, interStarved := run("inter")
+	intra, intraStarved := run("intra")
 	return &Report{ID: "fig16", Title: "WAN performance",
-		Tables: []Table{run("inter"), run("intra")},
-		Notes:  []string{"cross traffic: unresponsive CBR flow sharing the bottleneck (substitute for unknown WAN competition)"}}
+		Tables: []Table{inter, intra},
+		Notes: append([]string{"cross traffic: unresponsive CBR flow sharing the bottleneck (substitute for unknown WAN competition)"},
+			starvedNotes(interStarved+intraStarved)...)}
+}
+
+// wanTable builds one fig16 table: each CCA's throughput over the best
+// and its delay over the lowest. A starved flow (see hasDelay) is left
+// out of the lowest delay and reads "-" as its norm.delay, so it cannot
+// turn every other cell infinite; the table comes back with the number
+// of starved flows.
+func wanTable(name string, ccas []string, ms []Metrics) (Table, int) {
+	tbl := Table{Name: name, Cols: []string{"cca", "norm.thr", "norm.delay", "loss"}}
+	var bestThr float64
+	minDelay := math.Inf(1)
+	starved := 0
+	for _, m := range ms {
+		if m.ThrMbps > bestThr {
+			bestThr = m.ThrMbps
+		}
+		switch {
+		case !hasDelay(m):
+			starved++
+		case m.DelayMs < minDelay:
+			minDelay = m.DelayMs
+		}
+	}
+	for i, name := range ccas {
+		m := ms[i]
+		delay := "-"
+		if hasDelay(m) {
+			delay = fmtF(m.DelayMs/minDelay, 3)
+		}
+		tbl.AddRow(name, fmtF(m.ThrMbps/bestThr, 3), delay, fmtF(m.LossRate, 4))
+	}
+	return tbl, starved
 }
 
 func runFig17(rc *RunContext) *Report {

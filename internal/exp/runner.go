@@ -297,9 +297,14 @@ type delayMean struct {
 	sampled, starved int
 }
 
+// hasDelay reports whether m has a delay to report: a failed run or a
+// flow that got no RTT sample has none (it is starved), and its zero
+// mean RTT would read as low delay.
+func hasDelay(m Metrics) bool { return !m.Failed && m.Flow.Stats.RTTCount > 0 }
+
 // add folds one flow in.
 func (d *delayMean) add(m Metrics) {
-	if m.Failed || m.Flow.Stats.RTTCount == 0 {
+	if !hasDelay(m) {
 		d.starved++
 		return
 	}

@@ -17,7 +17,7 @@ const FailScore = -1e6
 
 // Outcome is one evaluated scenario: the spec that produced it, its
 // Eq. 1 score, summary stats for the target flow, and the anomaly
-// counts the analyzer attributed to it.
+// episodes the detectors attributed to it.
 type Outcome struct {
 	Spec     Spec    `json:"spec"`
 	Score    float64 `json:"score"`
@@ -26,11 +26,11 @@ type Outcome struct {
 	DelayMs  float64 `json:"delay_ms"`
 	LossRate float64 `json:"loss_rate"`
 	// Anomalies counts the target flow's collapses, utility
-	// regressions, and no-ACK episodes flagged by the analyzer.
+	// regressions, and no-ACK episodes flagged by the detectors.
 	Anomalies int64 `json:"anomalies"`
 
 	// flagged is that count even for a failed run, whose events reached
-	// the analyzer before it aborted; the tournament sums it.
+	// the detectors before it aborted; the tournament sums it.
 	flagged int64
 }
 
@@ -38,10 +38,11 @@ type Outcome struct {
 // target flow. The context is reseeded to the spec's own seed first,
 // so a spec evaluates identically wherever it lands in a sweep batch —
 // the objective depends on the scenario, never on the job index. The
-// run feeds a private analyzer (tapped off the job tracer), and the
-// score is the mean per-second Eq. 1 utility of the target flow, the
-// same formula the fig. 18 experiment uses, so it is comparable across
-// every CCA rather than only the Libra family.
+// run feeds a private anomaly detector (analyze.Detector, tapped off
+// the job tracer) that counts the target flow's anomaly episodes, and
+// the score is the mean per-second Eq. 1 utility of the target flow,
+// the same formula the fig. 18 experiment uses, so it is comparable
+// across every CCA rather than only the Libra family.
 func Eval(jc *exp.RunContext, sp Spec, u utility.Libra) Outcome {
 	jc.Metrics.Counter("libra_lab_evals_total", "lab scenario evaluations").Inc()
 	out := Outcome{Spec: sp, Score: FailScore}
@@ -51,9 +52,9 @@ func Eval(jc *exp.RunContext, sp Spec, u utility.Libra) Outcome {
 	}
 	jc.Reseed(sp.Seed)
 
-	an := analyze.New(analyze.Config{Util: u})
+	det := analyze.NewDetector(nil)
 	saved := jc.Tracer
-	jc.Tracer = telemetry.Multi(saved, an)
+	jc.Tracer = telemetry.Multi(saved, det)
 	defer func() { jc.Tracer = saved }()
 
 	mks := make([]exp.Maker, 0, 1+sp.Cross)
@@ -67,12 +68,8 @@ func Eval(jc *exp.RunContext, sp Spec, u utility.Libra) Outcome {
 	}
 	ms := jc.RunFlows(sp.Scenario(), mks, nil, time.Second)
 
-	an.Finalize()
-	for _, fr := range an.Report().Flows {
-		if fr.ID == 0 {
-			out.flagged = fr.Collapses + fr.Regressions + fr.NoAckEpisodes
-		}
-	}
+	det.Finalize()
+	out.flagged = det.Episodes(0)
 	m := ms[0]
 	if m.Failed {
 		out.Failed = true

@@ -41,7 +41,7 @@ type Entry struct {
 	// (0 when the baseline itself is non-positive).
 	Baseline float64 `json:"baseline"`
 	SLO      float64 `json:"slo"`
-	// Anomalies sums the analyzer's target-flow anomaly counters
+	// Anomalies sums the detectors' target-flow anomaly episodes
 	// (collapses, regressions, no-ACK episodes) across all scenarios,
 	// aborted cells included. Failures counts aborted cells.
 	Anomalies int64 `json:"anomalies"`

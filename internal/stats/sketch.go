@@ -22,10 +22,11 @@ type Sketch struct {
 	alpha   float64
 
 	// buckets[i] counts values whose log-gamma index is offset+i.
-	// Indices are clamped to [minIndex, maxIndex] so the array can
-	// never outgrow the supported value range.
-	offset  int
-	buckets []uint64
+	// Indices are clamped to [minIndex, maxIndex], the indices of the
+	// trackable range's edges, so the array can never outgrow it.
+	minIndex, maxIndex int
+	offset             int
+	buckets            []uint64
 
 	zeros uint64 // values <= minTrackable (incl. zero and negatives)
 	count uint64
@@ -50,27 +51,21 @@ func NewSketch(alpha float64) *Sketch {
 		alpha = 0.01
 	}
 	gamma := (1 + alpha) / (1 - alpha)
-	return &Sketch{
+	s := &Sketch{
 		gamma:   gamma,
 		lgGamma: math.Log(gamma),
 		alpha:   alpha,
 		min:     math.Inf(1),
 		max:     math.Inf(-1),
 	}
+	s.minIndex, s.maxIndex = s.indexOf(sketchMinValue), s.indexOf(sketchMaxValue)
+	return s
 }
 
-// index maps a positive value onto its log-gamma bucket index.
+// index maps a positive value onto its log-gamma bucket index, clamped
+// to the trackable range.
 func (s *Sketch) index(v float64) int {
-	i := int(math.Ceil(math.Log(v) / s.lgGamma))
-	lo := s.indexOf(sketchMinValue)
-	hi := s.indexOf(sketchMaxValue)
-	if i < lo {
-		i = lo
-	}
-	if i > hi {
-		i = hi
-	}
-	return i
+	return min(max(s.indexOf(v), s.minIndex), s.maxIndex)
 }
 
 // indexOf is index without the clamp (used to compute the clamp).

@@ -118,3 +118,41 @@ func TestSketchAddNoAlloc(t *testing.T) {
 		t.Fatalf("Add allocates %.1f times per call in steady state", n)
 	}
 }
+
+// TestSketchIndexClampBounds pins index, whose clamp bounds NewSketch
+// computes once, to the formula that recomputed them for every sample:
+// over a log sweep of the whole float range, both clamp edges, and the
+// values on either side of each edge bucket's boundaries.
+func TestSketchIndexClampBounds(t *testing.T) {
+	for _, alpha := range []float64{0.01, 0.05, 0.2} {
+		s := NewSketch(alpha)
+		ceilLog := func(v float64) int { return int(math.Ceil(math.Log(v) / s.lgGamma)) }
+		want := func(v float64) int {
+			i, lo, hi := ceilLog(v), ceilLog(sketchMinValue), ceilLog(sketchMaxValue)
+			if i < lo {
+				i = lo
+			}
+			if i > hi {
+				i = hi
+			}
+			return i
+		}
+		vals := []float64{math.SmallestNonzeroFloat64, sketchMinValue, sketchMaxValue, math.MaxFloat64}
+		for v := 1e-300; v < 1e300; v *= 1.37 {
+			vals = append(vals, v)
+		}
+		lo, hi := ceilLog(sketchMinValue), ceilLog(sketchMaxValue)
+		for _, k := range []int{lo - 2, lo - 1, lo, lo + 1, hi - 1, hi, hi + 1, hi + 2} {
+			edge := math.Exp(float64(k) * s.lgGamma)
+			vals = append(vals, math.Nextafter(edge, 0), edge, math.Nextafter(edge, math.Inf(1)))
+		}
+		for _, v := range []float64{sketchMinValue, sketchMaxValue} {
+			vals = append(vals, math.Nextafter(v, 0), math.Nextafter(v, math.Inf(1)))
+		}
+		for _, v := range vals {
+			if got, w := s.index(v), want(v); got != w {
+				t.Fatalf("alpha %v: index(%g) = %d, want %d", alpha, v, got, w)
+			}
+		}
+	}
+}

@@ -193,7 +193,11 @@ func (e *Event) Time() time.Duration { return time.Duration(e.T) }
 // fields are omitted, mirroring the struct tags, so the output decodes
 // back to an equal Event. Non-finite floats encode as null (JSON has no
 // NaN/Inf), which decodes as zero.
-func (e *Event) AppendJSON(b []byte) []byte {
+func (e *Event) AppendJSON(b []byte) []byte { return e.appendJSON(b, e.V) }
+
+// appendJSON is AppendJSON writing v as the schema version in place of
+// e.V, so the Recorder stamps a version without copying the event.
+func (e *Event) appendJSON(b []byte, v int) []byte {
 	b = append(b, `{"t":`...)
 	b = strconv.AppendInt(b, e.T, 10)
 	b = append(b, `,"type":"`...)
@@ -224,7 +228,7 @@ func (e *Event) AppendJSON(b []byte) []byte {
 	b = appendFloat(b, "grad", e.Grad)
 	b = appendFloat(b, "loss", e.Loss)
 	b = appendStr(b, "name", e.Name)
-	b = appendInt(b, "v", int64(e.V))
+	b = appendInt(b, "v", int64(v))
 	return append(b, '}')
 }
 

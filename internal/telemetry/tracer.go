@@ -63,19 +63,18 @@ func NewRecorder(w io.Writer) *Recorder {
 // Enabled implements Tracer.
 func (r *Recorder) Enabled() bool { return true }
 
-// Emit implements Tracer. Events with no schema version are stamped
-// with SchemaVersion via a local copy (the pointee is never written),
-// so every persisted line self-describes its schema.
+// Emit implements Tracer. Events with no schema version are encoded
+// with SchemaVersion (the pointee is never written), so every
+// persisted line self-describes its schema.
 func (r *Recorder) Emit(e *Event) {
 	if r.err != nil {
 		return
 	}
-	if e.V == 0 {
-		stamped := *e
-		stamped.V = SchemaVersion
-		e = &stamped
+	v := e.V
+	if v == 0 {
+		v = SchemaVersion
 	}
-	r.buf = e.AppendJSON(r.buf)
+	r.buf = e.appendJSON(r.buf, v)
 	r.buf = append(r.buf, '\n')
 	r.events++
 	if len(r.buf) >= flushThreshold {

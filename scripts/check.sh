@@ -28,7 +28,10 @@ go test -run=NONE -fuzz=FuzzParsePlan -fuzztime=10s ./internal/netem/faults/
 go test -run=NONE -fuzz=FuzzPlanMutate -fuzztime=10s ./internal/netem/faults/
 go test -run=NONE -fuzz=FuzzParseTopo -fuzztime=10s ./internal/exp/
 TELEMETRY_BENCH_GUARD=1 go test ./internal/telemetry/ -run TestNopTracerBudget -count=1 -v
-ANALYZE_BENCH_GUARD=1 go test ./internal/analyze/ -run TestFeedBudget -count=1 -v
+# The analyzer and detector feeds: 0 allocs/event and < 500 ns/event
+# (the standing mix, the recorded lab mix and the detector fold alone),
+# and the detector at 0 allocs across run ends and firing detectors.
+ANALYZE_BENCH_GUARD=1 go test ./internal/analyze/ -run 'TestFeedBudget|TestDetectorSteadyStateAllocs' -count=1 -v
 # Event-engine hot path: 0 allocs/event + 250 ns/event budget on each
 # of the engine's three paths (a self-rescheduling callback, delay-line
 # delivery with an RTO-style deadline re-set, and the pacing deadline's
