@@ -82,11 +82,13 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParseTopo -fuzztime=10s ./internal/exp/
 
 # Trace→analytics smoke: record a short two-flow run with -trace-out,
-# pipe it through `libra-trace analyze -json`, and assert the report
-# parses and covers every flow with completed control cycles.
+# check the stream against the event schema, pipe it through
+# `libra-trace analyze -json`, and assert the report parses and covers
+# every flow with completed control cycles.
 analyze:
 	tmp=$$(mktemp -d) && \
 	$(GO) run ./cmd/libra-sim -cca c-libra,c-libra -capacity 24 -dur 5s -seed 7 -trace-out $$tmp/events.jsonl >/dev/null && \
+	$(GO) run ./cmd/libra-trace -validate $$tmp/events.jsonl && \
 	$(GO) run ./cmd/libra-trace analyze -json $$tmp/events.jsonl | $(GO) run ./scripts/analyzecheck -flows 2 && \
 	rm -rf $$tmp
 

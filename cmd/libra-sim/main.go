@@ -62,7 +62,7 @@ func main() {
 	var names, profNames []string
 	if len(profs) > 0 {
 		for _, p := range profs {
-			if _, err := p.Maker(nil); err != nil {
+			if _, err := exp.MakerFor(p.CCA, nil, p.Util); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(2)
 			}
@@ -90,7 +90,7 @@ func main() {
 	// (utility-parameterised) maker with -profiles, else the plain CCA.
 	makerAt := func(i int) exp.Maker {
 		if len(profs) > 0 {
-			mk, _ := profs[i].Maker(nil)
+			mk, _ := exp.MakerFor(profs[i].CCA, nil, profs[i].Util)
 			return mk
 		}
 		mk, _ := exp.MakerFor(names[i], nil, nil)

@@ -49,13 +49,6 @@ type Config struct {
 	// (default utility.Default(); must match the run's utility for the
 	// decomposition to reconstruct the traced u_* values).
 	Util utility.Libra
-	// OnAnomaly, when set, fires the moment a detector trips: reasons
-	// are the telemetry Anomaly* constants (rate_collapse,
-	// no_ack_streak, utility_regression). It is invoked on the feeding
-	// goroutine with the analyzer lock held, so implementations must
-	// not call back into the analyzer. A tap that needs only this
-	// callback (the CLIs' flight-dump trigger) uses a Detector instead.
-	OnAnomaly func(flow int, t int64, reason string)
 	// SLOs are the per-profile objectives evaluated per fairness
 	// window. Nil selects DefaultSLOs(); an empty non-nil slice
 	// disables SLO tracking. Shards being merged must share the same
@@ -102,6 +95,30 @@ var stageNames = [nStages]string{"explore", "eval-1", "eval-2", "exploit"}
 
 // stageIndex maps a stage name to its index; -1 when unknown.
 func stageIndex(s string) int { return slices.Index(stageNames[:], s) }
+
+// Event-type indices into Analyzer.byType, for the types the schema
+// defines; feed's switch counts each under its own index.
+const (
+	tyStage = iota
+	tyEarlyExit
+	tyDecision
+	tyNoAck
+	tyEnqueue
+	tyDrop
+	tyQueue
+	tyAction
+	tyFault
+	tySpan
+	tyAnomaly
+	tyProfile
+	nTypes
+)
+
+var typeNames = [nTypes]telemetry.Type{
+	telemetry.TypeStage, telemetry.TypeEarlyExit, telemetry.TypeDecision, telemetry.TypeNoAck,
+	telemetry.TypeEnqueue, telemetry.TypeDrop, telemetry.TypeQueue, telemetry.TypeAction,
+	telemetry.TypeFault, telemetry.TypeSpan, telemetry.TypeAnomaly, telemetry.TypeProfile,
+}
 
 // flowState is the bounded per-flow accumulator.
 type flowState struct {
@@ -279,7 +296,11 @@ type Analyzer struct {
 	cfg    Config
 	det    *Detector // the anomaly detectors and the latest event time
 	events int64
-	byType map[telemetry.Type]int64
+	// byType counts the schema's event types by ty* index; others
+	// counts the types outside it, which a lax-decoded foreign stream
+	// can carry.
+	byType [nTypes]int64
+	others map[telemetry.Type]int64
 	flows  map[int]*flowState
 	link   linkState
 	links  map[string]*linkState // per labelled link, multi-hop traces only
@@ -297,8 +318,8 @@ type Analyzer struct {
 func New(cfg Config) *Analyzer {
 	a := &Analyzer{
 		cfg:    cfg.withDefaults(),
-		det:    NewDetector(cfg.OnAnomaly),
-		byType: make(map[telemetry.Type]int64, 16),
+		det:    NewDetector(nil),
+		others: make(map[telemetry.Type]int64),
 		flows:  make(map[int]*flowState, 8),
 		link:   newLinkState(),
 		links:  make(map[string]*linkState, 4),
@@ -365,10 +386,10 @@ func (a *Analyzer) linkFor(label string) *linkState {
 // feed is the single-pass state update. Callers hold a.mu.
 func (a *Analyzer) feed(e *telemetry.Event) {
 	a.events++
-	a.byType[e.Type]++
 	a.det.Emit(e)
 	switch e.Type {
 	case telemetry.TypeStage:
+		a.byType[tyStage]++
 		fs := a.flow(e.Flow)
 		fs.events++
 		if si := stageIndex(e.Stage); si >= 0 {
@@ -386,12 +407,18 @@ func (a *Analyzer) feed(e *telemetry.Event) {
 			fs.rateMbps.Add(e.Rate * 8 / 1e6)
 		}
 	case telemetry.TypeEarlyExit:
+		a.byType[tyEarlyExit]++
 		fs := a.flow(e.Flow)
 		fs.events++
 		fs.earlyExits++
-	case telemetry.TypeDecision, telemetry.TypeNoAck:
+	case telemetry.TypeDecision:
+		a.byType[tyDecision]++
+		a.feedCycle(e)
+	case telemetry.TypeNoAck:
+		a.byType[tyNoAck]++
 		a.feedCycle(e)
 	case telemetry.TypeEnqueue:
+		a.byType[tyEnqueue]++
 		fs := a.flow(e.Flow)
 		fs.events++
 		fs.queueBytes.Add(float64(e.Queue))
@@ -409,22 +436,31 @@ func (a *Analyzer) feed(e *telemetry.Event) {
 			a.wins[idx] = w
 		}
 		w.bytes[e.Flow] += e.Bytes
-	case telemetry.TypeDrop, telemetry.TypeQueue, telemetry.TypeFault:
-		a.link.feed(e)
-		if e.Link != "" {
-			a.linkFor(e.Link).feed(e)
-		}
-		if e.Type == telemetry.TypeDrop && e.Flow >= 0 {
+	case telemetry.TypeDrop:
+		a.byType[tyDrop]++
+		a.feedLink(e)
+		if e.Flow >= 0 {
 			fs := a.flow(e.Flow)
 			fs.events++
 			fs.drops++
 		}
+	case telemetry.TypeQueue:
+		a.byType[tyQueue]++
+		a.feedLink(e)
+	case telemetry.TypeFault:
+		a.byType[tyFault]++
+		a.feedLink(e)
 	case telemetry.TypeAction:
+		a.byType[tyAction]++
 		fs := a.flow(e.Flow)
 		fs.events++
 	case telemetry.TypeProfile:
+		a.byType[tyProfile]++
 		a.bindProfile(a.flow(e.Flow), e.Name)
+	case telemetry.TypeAnomaly:
+		a.byType[tyAnomaly]++
 	case telemetry.TypeSpan:
+		a.byType[tySpan]++
 		if isRunEnd(e) {
 			// The run's fairness windows fold into per-window Jain
 			// values over its own senders; the next run reuses the
@@ -433,6 +469,18 @@ func (a *Analyzer) feed(e *telemetry.Event) {
 			addWindows(a.past, a.wins)
 			clear(a.wins)
 		}
+	default:
+		a.others[e.Type]++
+	}
+}
+
+// feedLink folds a drop, queue or fault event into the path-wide link
+// state and, for a labelled hop, into that hop's state. Callers hold
+// a.mu.
+func (a *Analyzer) feedLink(e *telemetry.Event) {
+	a.link.feed(e)
+	if e.Link != "" {
+		a.linkFor(e.Link).feed(e)
 	}
 }
 
@@ -505,8 +553,11 @@ func (a *Analyzer) Merge(b *Analyzer) {
 	defer b.mu.Unlock()
 
 	a.events += b.events
-	for t, n := range b.byType {
-		a.byType[t] += n
+	for i, n := range b.byType {
+		a.byType[i] += n
+	}
+	for t, n := range b.others {
+		a.others[t] += n
 	}
 	a.det.merge(b.det)
 	for id, bf := range b.flows {

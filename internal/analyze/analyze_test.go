@@ -408,27 +408,57 @@ type anomalyCounts struct {
 	collapses, regressions, noAckEpisodes, maxNoAckStreak int64
 }
 
+// episodes returns the counters one callback each fires, in the order
+// collapses, regressions, no-ACK episodes.
+func (c anomalyCounts) episodes() [3]int64 {
+	return [3]int64{c.collapses, c.regressions, c.noAckEpisodes}
+}
+
+// episodesOf counts one flow's callbacks by reason, in the order
+// anomalyCounts.episodes returns.
+func episodesOf(hits []hit, flow int) (n [3]int64) {
+	for _, h := range hits {
+		if h.flow != flow {
+			continue
+		}
+		switch h.reason {
+		case telemetry.AnomalyCollapse:
+			n[0]++
+		case telemetry.AnomalyRegression:
+			n[1]++
+		case telemetry.AnomalyNoAckStreak:
+			n[2]++
+		}
+	}
+	return n
+}
+
 // detectorFold is one of the two folds that run the anomaly detectors:
-// build returns it as a tracer with onAnomaly wired, its Finalize, and
-// a reader of one flow's counters.
+// build returns it as a tracer, its Finalize, a reader of one flow's
+// counters and the anomaly callbacks it has fired. The Analyzer takes
+// no callback, so its fired list is nil and only its counters are
+// checked.
 type detectorFold struct {
 	name  string
-	build func(onAnomaly func(flow int, t int64, reason string)) (telemetry.Tracer, func(), func(flow int) anomalyCounts)
+	build func() (telemetry.Tracer, func(), func(flow int) anomalyCounts, *[]hit)
 }
 
 // detectorFolds are the standalone Detector and the Analyzer, which
 // reports the counters of the Detector it feeds. Every test of a
 // detector rule runs against both.
 var detectorFolds = []detectorFold{
-	{"detector", func(on func(int, int64, string)) (telemetry.Tracer, func(), func(int) anomalyCounts) {
-		d := NewDetector(on)
+	{"detector", func() (telemetry.Tracer, func(), func(int) anomalyCounts, *[]hit) {
+		hits := []hit{} // non-nil: a Detector that fired nothing still has a list
+		d := NewDetector(func(flow int, t int64, reason string) {
+			hits = append(hits, hit{flow, t, reason})
+		})
 		return d, d.Finalize, func(flow int) anomalyCounts {
 			c := d.counts(flow)
 			return anomalyCounts{c.collapses, c.regressions, c.noAckEpisodes, c.maxNoAckStreak}
-		}
+		}, &hits
 	}},
-	{"analyzer", func(on func(int, int64, string)) (telemetry.Tracer, func(), func(int) anomalyCounts) {
-		a := New(Config{OnAnomaly: on})
+	{"analyzer", func() (telemetry.Tracer, func(), func(int) anomalyCounts, *[]hit) {
+		a := New(Config{})
 		return a, a.Finalize, func(flow int) anomalyCounts {
 			for _, fr := range a.Report().Flows {
 				if fr.ID == flow {
@@ -436,7 +466,7 @@ var detectorFolds = []detectorFold{
 				}
 			}
 			return anomalyCounts{}
-		}
+		}, nil
 	}},
 }
 
@@ -447,12 +477,7 @@ var detectorFolds = []detectorFold{
 func TestNoAckStreakOncePerOutage(t *testing.T) {
 	for _, fold := range detectorFolds {
 		t.Run(fold.name, func(t *testing.T) {
-			var fired []int64
-			tap, _, counts := fold.build(func(_ int, t int64, reason string) {
-				if reason == telemetry.AnomalyNoAckStreak {
-					fired = append(fired, t)
-				}
-			})
+			tap, _, counts, hits := fold.build()
 			emit := func(t int64, reason string) {
 				tap.Emit(&telemetry.Event{T: t, Type: telemetry.TypeNoAck, Flow: 0, Reason: reason})
 			}
@@ -463,8 +488,16 @@ func TestNoAckStreakOncePerOutage(t *testing.T) {
 			}
 			emit(200, "recover")
 			emit(300, "decay")
-			if len(fired) != 2 || fired[0] != 100 || fired[1] != 300 {
-				t.Fatalf("no_ack_streak fired at %v, want [100 300]", fired)
+			if hits != nil {
+				var fired []int64
+				for _, h := range *hits {
+					if h.reason == telemetry.AnomalyNoAckStreak {
+						fired = append(fired, h.t)
+					}
+				}
+				if len(fired) != 2 || fired[0] != 100 || fired[1] != 300 {
+					t.Fatalf("no_ack_streak fired at %v, want [100 300]", fired)
+				}
 			}
 			if got := counts(0).noAckEpisodes; got != 2 {
 				t.Errorf("no-ACK episodes = %d, want 2", got)
@@ -517,12 +550,23 @@ func TestDetectorsScopedToRun(t *testing.T) {
 	}
 	for _, fold := range detectorFolds {
 		t.Run(fold.name, func(t *testing.T) {
-			apart := append(detect(fold, runA), detect(fold, runB)...)
-			if !reflect.DeepEqual(apart, want) {
-				t.Fatalf("runs analysed apart fired %v, want %v", apart, want)
+			hitsA, countsA := detect(fold, runA)
+			hitsB, countsB := detect(fold, runB)
+			whole, counts := detect(fold, runA, runB)
+			if hitsA != nil {
+				if apart := append(hitsA, hitsB...); !reflect.DeepEqual(apart, want) {
+					t.Fatalf("runs analysed apart fired %v, want %v", apart, want)
+				}
+				if !reflect.DeepEqual(whole, want) {
+					t.Fatalf("runs analysed together fired %v, want %v", whole, want)
+				}
 			}
-			if whole := detect(fold, runA, runB); !reflect.DeepEqual(whole, want) {
-				t.Fatalf("runs analysed together fired %v, want %v", whole, want)
+			for flow := 0; flow < 2; flow++ {
+				a, b := countsA(flow).episodes(), countsB(flow).episodes()
+				apart := [3]int64{a[0] + b[0], a[1] + b[1], a[2] + b[2]}
+				if w := episodesOf(want, flow); apart != w || counts(flow).episodes() != w {
+					t.Fatalf("flow %d episodes: apart %v, together %v, want %v", flow, apart, counts(flow).episodes(), w)
+				}
 			}
 		})
 	}
@@ -559,19 +603,20 @@ type hit struct {
 }
 
 // detect feeds the runs in order into a fresh fold, finalizes it and
-// returns the anomaly callbacks it fired, in firing order.
-func detect(fold detectorFold, runs ...[]telemetry.Event) []hit {
-	var hits []hit
-	tap, finalize, _ := fold.build(func(flow int, t int64, reason string) {
-		hits = append(hits, hit{flow, t, reason})
-	})
+// returns the anomaly callbacks it fired, in firing order (nil for the
+// Analyzer), and its counter reader.
+func detect(fold detectorFold, runs ...[]telemetry.Event) ([]hit, func(int) anomalyCounts) {
+	tap, finalize, counts, hits := fold.build()
 	for _, run := range runs {
 		for i := range run {
 			tap.Emit(&run[i])
 		}
 	}
 	finalize()
-	return hits
+	if hits == nil {
+		return nil, counts
+	}
+	return *hits, counts
 }
 
 // randomDetectorStream is a seeded stream of n events over five flows
@@ -625,28 +670,22 @@ func randomDetectorStream(seed int64, n int) []telemetry.Event {
 }
 
 // TestDetectorMatchesAnalyzer feeds one seeded random stream into the
-// standalone Detector and the Analyzer: both must fire the same
-// (flow, t, reason) callbacks in the same order and report the same
-// per-flow counters, and the stream must trip every detector.
+// standalone Detector and the Analyzer: both must report the same
+// per-flow counters, the Detector's callbacks must add up to them, and
+// the stream must trip every detector.
 func TestDetectorMatchesAnalyzer(t *testing.T) {
 	stream := randomDetectorStream(24, 20000)
-	var hits [2][]hit
+	var hits []hit
 	var counts [2]func(int) anomalyCounts
 	for i, fold := range detectorFolds {
-		tap, finalize, c := fold.build(func(flow int, t int64, reason string) {
-			hits[i] = append(hits[i], hit{flow, t, reason})
-		})
-		for j := range stream {
-			tap.Emit(&stream[j])
+		h, c := detect(fold, stream)
+		if h != nil {
+			hits = h
 		}
-		finalize()
 		counts[i] = c
 	}
-	if !reflect.DeepEqual(hits[0], hits[1]) {
-		t.Fatalf("detector fired %d callbacks, analyzer %d; sequences differ", len(hits[0]), len(hits[1]))
-	}
 	fired := map[string]int{}
-	for _, h := range hits[0] {
+	for _, h := range hits {
 		fired[h.reason]++
 	}
 	for _, reason := range []string{telemetry.AnomalyCollapse, telemetry.AnomalyNoAckStreak, telemetry.AnomalyRegression} {
@@ -658,6 +697,44 @@ func TestDetectorMatchesAnalyzer(t *testing.T) {
 		if d, a := counts[0](flow), counts[1](flow); d != a {
 			t.Errorf("flow %d: detector counts %+v, analyzer %+v", flow, d, a)
 		}
+		if c, h := counts[0](flow).episodes(), episodesOf(hits, flow); c != h {
+			t.Errorf("flow %d: detector counts %v episodes, its callbacks %v", flow, c, h)
+		}
+	}
+}
+
+// Report.ByType counts every schema type under its own name and any
+// type outside the schema as read, and Merge adds both.
+func TestByTypeCounts(t *testing.T) {
+	types := []telemetry.Type{
+		telemetry.TypeStage, telemetry.TypeEarlyExit, telemetry.TypeDecision, telemetry.TypeNoAck,
+		telemetry.TypeEnqueue, telemetry.TypeDrop, telemetry.TypeQueue, telemetry.TypeAction,
+		telemetry.TypeFault, telemetry.TypeSpan, telemetry.TypeAnomaly, telemetry.TypeProfile,
+		"foreign",
+	}
+	feed := func() *Analyzer {
+		a := New(Config{})
+		for i, ty := range types {
+			for k := 0; k <= i; k++ {
+				a.Emit(&telemetry.Event{T: int64(k), Type: ty, Flow: -1})
+			}
+		}
+		return a
+	}
+	want := map[string]int64{}
+	for i, ty := range types {
+		want[string(ty)] = int64(i + 1)
+	}
+	a := feed()
+	if got := a.Report().ByType; !reflect.DeepEqual(got, want) {
+		t.Fatalf("ByType = %v, want %v", got, want)
+	}
+	a.Merge(feed())
+	for ty := range want {
+		want[ty] *= 2
+	}
+	if got := a.Report().ByType; !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged ByType = %v, want %v", got, want)
 	}
 }
 

@@ -146,11 +146,16 @@ func (a *Analyzer) Report() *Report {
 
 	r := &Report{
 		Events: a.events,
-		ByType: make(map[string]int64, len(a.byType)),
+		ByType: make(map[string]int64, nTypes+len(a.others)),
 		SpanMs: float64(a.det.lastT) / 1e6,
 		Flows:  []FlowReport{},
 	}
-	for t, n := range a.byType {
+	for i, n := range a.byType {
+		if n > 0 {
+			r.ByType[string(typeNames[i])] = n
+		}
+	}
+	for t, n := range a.others {
 		r.ByType[string(t)] = n
 	}
 

@@ -168,13 +168,9 @@ func (o *Orca) OnTick(now time.Duration) time.Duration {
 	// flows share the agent.
 	var act []float64
 	var logp, val float64
-	switch {
-	case o.cfg.Deterministic:
-		o.actBuf = append(o.actBuf[:0], o.agent.Policy.Mean(o.stateBuf)...)
-		act = o.actBuf
-	case o.cfg.Train:
+	if o.cfg.Train {
 		act, logp, val = o.agent.Act(o.stateBuf)
-	default:
+	} else {
 		mean := o.agent.Policy.Mean(o.stateBuf)
 		o.actBuf = o.agent.Policy.SampleFrom(mean, rl.Mix(o.noiseBase+uint64(o.decisions)), o.actBuf)
 		act = o.actBuf

@@ -53,6 +53,18 @@ func TestLazyAgentsCachedPerSeed(t *testing.T) {
 	}
 }
 
+// The profiles experiment resolves its c-libra flows' agents through
+// the context like every other experiment: a context without agents
+// trains its lazy set once instead of running untrained policies.
+func TestProfileMixTrainsLazyAgents(t *testing.T) {
+	var calls []int64
+	rc := &RunContext{Seed: 3, Quick: true, train: fakeTrain(&calls)}
+	runProfileMix(rc)
+	if len(calls) != 1 || calls[0] != 3 {
+		t.Fatalf("profiles trained %v, want once at seed 3", calls)
+	}
+}
+
 // untrained builds the named controller over fresh, untrained policies,
 // for tests that run a learning controller without training an agent
 // set.

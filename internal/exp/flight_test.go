@@ -13,7 +13,7 @@ import (
 )
 
 // runFlightSweep drives a 3-job blackout sweep with a flight recorder
-// and the analyzer's anomaly tap on the parent context, composed as the
+// and an anomaly Detector tap on the parent context, composed as the
 // operator rig composes them, and returns the dump directory contents.
 func runFlightSweep(t *testing.T, workers int) map[string][]byte {
 	t.Helper()
@@ -28,7 +28,7 @@ func runFlightSweep(t *testing.T, workers int) map[string][]byte {
 	// The flight recorder sits at the parent level: it sees the sweep's
 	// ordered replay, never the live worker goroutines. The anomaly tap
 	// follows it, so a dump already holds the event that tripped it.
-	rc.Tracer = telemetry.Multi(fl, analyze.New(analyze.Config{OnAnomaly: fl.TriggerDump}))
+	rc.Tracer = telemetry.Multi(fl, analyze.NewDetector(fl.TriggerDump))
 
 	s := Scenario{
 		Name:     "blackout-det",

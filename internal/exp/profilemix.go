@@ -31,6 +31,10 @@ func runProfileMix(rc *RunContext) *Report {
 		dur = 8 * time.Second
 	}
 
+	a := analyze.New(analyze.Config{})
+	sub := *rc
+	sub.Tracer = telemetry.Multi(rc.Tracer, a)
+
 	profiles := []string{"bulk", "low-latency", "video-call", "background"}
 	mks := make([]Maker, len(profiles))
 	for i, name := range profiles {
@@ -38,16 +42,8 @@ func runProfileMix(rc *RunContext) *Report {
 		if err != nil {
 			panic(err) // static names
 		}
-		mk, err := p.Maker(rc.Agents)
-		if err != nil {
-			panic(err)
-		}
-		mks[i] = mk
+		mks[i] = CCAMaker(p.CCA, p.Util)(&sub)
 	}
-
-	a := analyze.New(analyze.Config{})
-	sub := *rc
-	sub.Tracer = telemetry.Multi(rc.Tracer, a)
 
 	ts, _ := TopoPreset("parking-lot")
 	s := Scenario{Name: "profile-mix", Duration: dur, Topo: ts, Profiles: profiles}

@@ -22,11 +22,6 @@ type Profile struct {
 	Util utility.Libra
 }
 
-// Maker builds the profile's controller factory.
-func (p Profile) Maker(ag *AgentSet) (Maker, error) {
-	return MakerFor(p.CCA, ag, p.Util)
-}
-
 // profilePresets maps the paper's application-preference archetypes
 // onto Eq. 1 parameterisations: bulk transfer weighs throughput up
 // (2x alpha), low-latency weighs the delay penalty up 3x, video-call

@@ -239,7 +239,7 @@ func (rc *RunContext) run(s Scenario, mks []Maker, starts []time.Duration, bucke
 		}
 		mk, err := MakerFor(cca, nil, nil)
 		if err != nil {
-			return rc.failedRun(s, len(mks), err) // unreachable after Validate; defensive
+			return rc.failedRun(s, len(mks), err) // unreachable: Build checked the name
 		}
 		count := cf.Count
 		if count == 0 {

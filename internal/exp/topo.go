@@ -82,42 +82,23 @@ type TopoSpec struct {
 	Cross []CrossFlow `json:"cross,omitempty"`
 }
 
-// Validate rejects specs Build could not materialise: unknown or
-// duplicate nodes, links with no/zero capacity or undeclared
-// endpoints, routes over unknown/disconnected/revisited links, a Main
-// that names no route, and cross flows on unknown routes or with
-// unknown controllers.
+// Validate reports whether Build can materialise the spec: it builds
+// the spec with zero wiring and drops the result, so Build's spec
+// checks and netem's graph rules are the only rules.
 func (ts *TopoSpec) Validate() error {
-	if len(ts.Nodes) == 0 {
-		return fmt.Errorf("topo: no nodes")
-	}
-	nodes := make(map[string]bool, len(ts.Nodes))
-	for _, n := range ts.Nodes {
-		if n == "" {
-			return fmt.Errorf("topo: empty node name")
-		}
-		if nodes[n] {
-			return fmt.Errorf("topo: duplicate node %q", n)
-		}
-		nodes[n] = true
-	}
-	if len(ts.Links) == 0 {
-		return fmt.Errorf("topo: no links")
-	}
-	links := make(map[string]*TopoLink, len(ts.Links))
+	_, _, err := ts.Build(TopoBuild{})
+	return err
+}
+
+// check rejects what netem cannot know: link labels (routes name links
+// by them) and parameters, route names and ACK delays, an undeclared
+// main route, and cross flows on unknown routes or with unknown
+// controllers.
+func (ts *TopoSpec) check() error {
 	for i := range ts.Links {
 		l := &ts.Links[i]
 		if l.Label == "" {
 			return fmt.Errorf("topo: link %d has no label", i)
-		}
-		if links[l.Label] != nil {
-			return fmt.Errorf("topo: duplicate link label %q", l.Label)
-		}
-		if !nodes[l.From] || !nodes[l.To] {
-			return fmt.Errorf("topo: link %q joins unknown node (%s -> %s)", l.Label, l.From, l.To)
-		}
-		if l.From == l.To {
-			return fmt.Errorf("topo: link %q is a self-loop at %s", l.Label, l.From)
 		}
 		if !(l.CapMbps > 0) {
 			return fmt.Errorf("topo: link %q has zero capacity", l.Label)
@@ -128,13 +109,6 @@ func (ts *TopoSpec) Validate() error {
 		if l.DelayMs < 0 || l.Loss < 0 || l.Loss >= 1 || l.Buffer < 0 || l.ECN < 0 || l.PeriodS < 0 {
 			return fmt.Errorf("topo: link %q has a negative or out-of-range parameter", l.Label)
 		}
-		if err := l.Faults.Validate(); err != nil {
-			return fmt.Errorf("topo: link %q: %w", l.Label, err)
-		}
-		links[l.Label] = l
-	}
-	if len(ts.Routes) == 0 {
-		return fmt.Errorf("topo: no routes")
 	}
 	routes := make(map[string]bool, len(ts.Routes))
 	for _, r := range ts.Routes {
@@ -145,32 +119,9 @@ func (ts *TopoSpec) Validate() error {
 			return fmt.Errorf("topo: duplicate route %q", r.Name)
 		}
 		routes[r.Name] = true
-		if len(r.Links) == 0 {
-			return fmt.Errorf("topo: route %q has no links", r.Name)
-		}
 		if r.AckDelayMs < 0 {
 			return fmt.Errorf("topo: route %q has negative ack delay", r.Name)
 		}
-		seen := make(map[string]bool, len(r.Links))
-		var prev *TopoLink
-		for _, lbl := range r.Links {
-			l := links[lbl]
-			if l == nil {
-				return fmt.Errorf("topo: route %q uses unknown link %q", r.Name, lbl)
-			}
-			if seen[lbl] {
-				return fmt.Errorf("topo: route %q revisits link %q (cycle)", r.Name, lbl)
-			}
-			seen[lbl] = true
-			if prev != nil && prev.To != l.From {
-				return fmt.Errorf("topo: route %q breaks at %q -> %q (%s does not feed %s)",
-					r.Name, prev.Label, l.Label, prev.To, l.From)
-			}
-			prev = l
-		}
-	}
-	if ts.Main == "" {
-		return fmt.Errorf("topo: no main route")
 	}
 	if !routes[ts.Main] {
 		return fmt.Errorf("topo: main route %q not declared", ts.Main)
@@ -220,8 +171,11 @@ func (l *TopoLink) meanMbps() float64 {
 	return l.CapMbps * (1 + l.DipFrac) / 2
 }
 
-// trace materialises the link's capacity shape.
-func (l *TopoLink) trace() trace.Trace {
+// Trace materialises the link's capacity shape: a square wave that
+// spends half of each period at CapMbps and half at CapMbps*DipFrac,
+// or a constant CapMbps when DipFrac is 0 or at least 0.999 or PeriodS
+// is not positive.
+func (l *TopoLink) Trace() trace.Trace {
 	capBps := trace.Mbps(l.CapMbps)
 	if l.DipFrac == 0 || l.DipFrac >= 0.999 || l.PeriodS <= 0 {
 		return trace.Constant(capBps)
@@ -243,6 +197,17 @@ func (ts *TopoSpec) RouteByName(name string) *TopoRoute {
 	return nil
 }
 
+// LinkIndex returns the index (into Links) of the first link with the
+// label, or -1.
+func (ts *TopoSpec) LinkIndex(label string) int {
+	for i := range ts.Links {
+		if ts.Links[i].Label == label {
+			return i
+		}
+	}
+	return -1
+}
+
 // MainBottleneck returns the index (into Links) of the main route's
 // lowest-mean-capacity hop — where scenario-level fault plans and the
 // lab's trace-shape knobs land — or -1 when the spec is invalid.
@@ -253,12 +218,9 @@ func (ts *TopoSpec) MainBottleneck() int {
 	}
 	best, bi := 0.0, -1
 	for _, lbl := range r.Links {
-		for i := range ts.Links {
-			if ts.Links[i].Label == lbl {
-				if m := ts.Links[i].meanMbps(); bi < 0 || m < best {
-					best, bi = m, i
-				}
-				break
+		if i := ts.LinkIndex(lbl); i >= 0 {
+			if m := ts.Links[i].meanMbps(); bi < 0 || m < best {
+				best, bi = m, i
 			}
 		}
 	}
@@ -279,11 +241,13 @@ type TopoBuild struct {
 }
 
 // Build materialises the spec as a running-ready topology plus its
-// routes by name. Per-link injectors bind with seeds sub-derived from
-// the build seed by link index, so adding a link never perturbs the
-// fault streams of the links before it.
+// routes by name. It runs check, then leaves the graph rules (nodes,
+// labels, endpoints, route walks) to netem.NewTopology and AddRoute and
+// the fault-plan rules to faults.New. Per-link injectors bind with
+// seeds sub-derived from the build seed by link index, so adding a link
+// never perturbs the fault streams of the links before it.
 func (ts *TopoSpec) Build(b TopoBuild) (*netem.Topology, map[string]*netem.Route, error) {
-	if err := ts.Validate(); err != nil {
+	if err := ts.check(); err != nil {
 		return nil, nil, err
 	}
 	extraAt := -1
@@ -311,7 +275,7 @@ func (ts *TopoSpec) Build(b TopoBuild) (*netem.Topology, map[string]*netem.Route
 			Label:        l.Label,
 			From:         l.From,
 			To:           l.To,
-			Capacity:     l.trace(),
+			Capacity:     l.Trace(),
 			PropDelay:    time.Duration(l.DelayMs * float64(time.Millisecond)),
 			BufferBytes:  l.Buffer,
 			LossRate:     l.Loss,

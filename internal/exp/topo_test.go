@@ -62,6 +62,22 @@ func TestParseTopoRejects(t *testing.T) {
 		{"cross on unknown route",
 			`{"nodes":["a","b"],"links":[{"label":"l","from":"a","to":"b","cap_mbps":10}],"routes":[{"name":"m","links":["l"]}],"main":"m","cross":[{"route":"zz"}]}`,
 			"unknown route"},
+		{"unlabelled sole link",
+			`{"nodes":["a","b"],"links":[{"from":"a","to":"b","cap_mbps":10}],"routes":[{"name":"m","links":[""]}],"main":"m"}`,
+			"no label"},
+		// Graph rules: netem.NewTopology and AddRoute reject these.
+		{"self-loop",
+			`{"nodes":["a","b"],"links":[{"label":"l","from":"a","to":"a","cap_mbps":10}],"routes":[{"name":"m","links":["l"]}],"main":"m"}`,
+			"self-loop"},
+		{"duplicate link label",
+			`{"nodes":["a","b","c"],"links":[{"label":"l","from":"a","to":"b","cap_mbps":10},{"label":"l","from":"b","to":"c","cap_mbps":10}],"routes":[{"name":"m","links":["l"]}],"main":"m"}`,
+			"duplicate link label"},
+		{"duplicate node",
+			`{"nodes":["a","b","a"],"links":[{"label":"l","from":"a","to":"b","cap_mbps":10}],"routes":[{"name":"m","links":["l"]}],"main":"m"}`,
+			"duplicate node"},
+		{"route over undeclared link",
+			`{"nodes":["a","b"],"links":[{"label":"l","from":"a","to":"b","cap_mbps":10}],"routes":[{"name":"m","links":["zz"]}],"main":"m"}`,
+			"unknown link"},
 	}
 	for _, tc := range cases {
 		if _, err := ParseTopo([]byte(tc.body)); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -52,6 +52,7 @@ func TestSpecValidateRejects(t *testing.T) {
 		"unknown target": func(s *Spec) { s.Target = "nope" },
 		"zero capacity":  func(s *Spec) { s.CapMbps = 0 },
 		"bad dip":        func(s *Spec) { s.DipFrac = 1.5 },
+		"neg period":     func(s *Spec) { s.PeriodS = -1 },
 		"neg rtt":        func(s *Spec) { s.RTTMs = -1 },
 		"neg cross":      func(s *Spec) { s.Cross = -1 },
 		"zero duration":  func(s *Spec) { s.DurS = 0 },

@@ -17,7 +17,6 @@ import (
 
 	"libra/internal/exp"
 	"libra/internal/netem/faults"
-	"libra/internal/trace"
 )
 
 // Spec is one fully-determined lab scenario: everything Eval needs to
@@ -111,7 +110,7 @@ func (sp *Spec) Validate() error {
 	if !(sp.DipFrac > 0 && sp.DipFrac <= 1) {
 		return fmt.Errorf("lab: spec dip_frac = %v outside (0,1]", sp.DipFrac)
 	}
-	if sp.DipFrac < 1 && !(sp.PeriodS > 0) {
+	if sp.PeriodS < 0 || sp.DipFrac < 1 && !(sp.PeriodS > 0) {
 		return bad("period_s", sp.PeriodS)
 	}
 	if !(sp.RTTMs > 0) || math.IsInf(sp.RTTMs, 0) {
@@ -142,22 +141,14 @@ func (sp Spec) Name() string {
 	return "lab:" + sp.Target
 }
 
-// Scenario materialises the spec as an experiment scenario.
+// Scenario materialises the spec as an experiment scenario. The
+// single bottleneck takes its trace from the same TopoLink shape a
+// topology's bottleneck hop gets in topoSpec.
 func (sp Spec) Scenario() exp.Scenario {
-	capBps := trace.Mbps(sp.CapMbps)
-	var tr trace.Trace
-	if sp.DipFrac >= 0.999 || sp.PeriodS <= 0 {
-		tr = trace.Constant(capBps)
-	} else {
-		// Half the period at full capacity, half at the dip.
-		tr = &trace.Step{
-			Period: time.Duration(sp.PeriodS * float64(time.Second) / 2),
-			Levels: []float64{capBps, capBps * sp.DipFrac},
-		}
-	}
+	bn := exp.TopoLink{CapMbps: sp.CapMbps, DipFrac: sp.DipFrac, PeriodS: sp.PeriodS}
 	return exp.Scenario{
 		Name:     sp.Name(),
-		Capacity: tr,
+		Capacity: bn.Trace(),
 		MinRTT:   time.Duration(sp.RTTMs * float64(time.Millisecond)),
 		Buffer:   150_000,
 		Duration: time.Duration(sp.DurS * float64(time.Second)),
@@ -183,25 +174,16 @@ func (sp Spec) topoSpec() *exp.TopoSpec {
 		return nil // Validate rejects this; defensive for raw specs
 	}
 	if bi := ts.MainBottleneck(); bi >= 0 {
-		ts.Links[bi].CapMbps = sp.CapMbps
-		if sp.DipFrac < 1 && sp.PeriodS > 0 {
-			ts.Links[bi].DipFrac = sp.DipFrac
-			ts.Links[bi].PeriodS = sp.PeriodS
-		} else {
-			ts.Links[bi].DipFrac = 0
-			ts.Links[bi].PeriodS = 0
-		}
+		l := &ts.Links[bi]
+		l.CapMbps, l.DipFrac, l.PeriodS = sp.CapMbps, sp.DipFrac, sp.PeriodS
 	}
 	// Scale delays so the main route's symmetric two-way propagation
 	// matches the spec's RTT.
 	if main := ts.RouteByName(ts.Main); main != nil {
 		var oneWay float64
 		for _, lbl := range main.Links {
-			for i := range ts.Links {
-				if ts.Links[i].Label == lbl {
-					oneWay += ts.Links[i].DelayMs
-					break
-				}
+			if i := ts.LinkIndex(lbl); i >= 0 {
+				oneWay += ts.Links[i].DelayMs
 			}
 		}
 		if oneWay > 0 {

@@ -59,10 +59,11 @@ type Network struct {
 	route *Route
 }
 
-// New builds a single-bottleneck network. The engine is created
-// internally and owned by the underlying topology.
+// New builds a single-bottleneck network through NewTopology, so it
+// obeys the same rules; it panics when cfg.Capacity is nil. The engine
+// is created internally and owned by the underlying topology.
 func New(cfg Config) *Network {
-	tp, err := newTopology(TopologyConfig{
+	tp, err := NewTopology(TopologyConfig{
 		Nodes: []string{"src", "dst"},
 		Links: []LinkSpec{{
 			From:         "src",
@@ -81,7 +82,7 @@ func New(cfg Config) *Network {
 		Health:       cfg.Health,
 	})
 	if err != nil {
-		panic("netem: degenerate topology rejected: " + err.Error()) // unreachable: spec is built here
+		panic(err) // a nil Capacity: the rest of the one-link spec is built here
 	}
 	route, err := tp.AddRoute("", []string{""}, cfg.MinRTT/2)
 	if err != nil {

@@ -14,10 +14,10 @@ import (
 type LinkSpec struct {
 	// Label is the link's telemetry identity: enqueue/drop/queue events
 	// it emits carry this label, and per-link metrics/reports key on it.
-	// NewTopology requires labels to be non-empty and unique; only the
-	// degenerate single-bottleneck Network leaves its one link
-	// unlabelled, which keeps its event stream byte-identical to the
-	// pre-topology encoding.
+	// NewTopology requires labels to be unique, and non-empty unless the
+	// link is the topology's only one; the single-bottleneck Network
+	// leaves its one link unlabelled, which keeps its event stream
+	// byte-identical to the pre-topology encoding.
 	Label string
 	// From and To name the link's endpoints; both must appear in
 	// TopologyConfig.Nodes.
@@ -114,24 +114,13 @@ const queueSampleEvery = 100 * time.Millisecond
 // exactly the pre-topology sequence.
 const linkSeedStride = 0x61c88647
 
-// NewTopology builds a multi-hop topology. Labels are mandatory and
-// unique, endpoints must be declared nodes, and every link needs a
-// capacity trace.
+// NewTopology builds a topology and is its only constructor: every
+// graph rule lives here and in AddRoute. Node names are non-empty and
+// unique, endpoints must be declared nodes, a link may not loop back
+// to its own node, and every link needs a capacity trace. Labels are
+// unique and non-empty, except that a topology's sole link may go
+// unlabelled: that is the single-bottleneck encoding New builds.
 func NewTopology(cfg TopologyConfig) (*Topology, error) {
-	for i, l := range cfg.Links {
-		if l.Label == "" {
-			return nil, fmt.Errorf("netem: link %d has no label", i)
-		}
-		if l.Capacity == nil {
-			return nil, fmt.Errorf("netem: link %q has no capacity trace", l.Label)
-		}
-	}
-	return newTopology(cfg)
-}
-
-// newTopology is the shared constructor; the Network wrapper reaches it
-// directly so its single link may stay unlabelled.
-func newTopology(cfg TopologyConfig) (*Topology, error) {
 	if len(cfg.Links) == 0 {
 		return nil, fmt.Errorf("netem: topology has no links")
 	}
@@ -153,16 +142,20 @@ func newTopology(cfg TopologyConfig) (*Topology, error) {
 	tracer := cfg.Tracer
 	traceOn := telemetry.Enabled(tracer)
 	for i, ls := range cfg.Links {
+		if ls.Label == "" && len(cfg.Links) > 1 {
+			return nil, fmt.Errorf("netem: link %d has no label", i)
+		}
+		if ls.Capacity == nil {
+			return nil, fmt.Errorf("netem: link %q has no capacity trace", ls.Label)
+		}
 		if !tp.nodes[ls.From] || !tp.nodes[ls.To] {
 			return nil, fmt.Errorf("netem: link %q joins unknown node (%s -> %s)", ls.Label, ls.From, ls.To)
 		}
 		if ls.From == ls.To {
 			return nil, fmt.Errorf("netem: link %q is a self-loop at %s", ls.Label, ls.From)
 		}
-		if ls.Label != "" {
-			if _, dup := tp.byLbl[ls.Label]; dup {
-				return nil, fmt.Errorf("netem: duplicate link label %q", ls.Label)
-			}
+		if _, dup := tp.byLbl[ls.Label]; dup {
+			return nil, fmt.Errorf("netem: duplicate link label %q", ls.Label)
 		}
 		if ls.Faults != nil {
 			t := tracer
@@ -276,12 +269,8 @@ func topoSampleCb(arg any) { arg.(*Topology).sampleQueues() }
 func (tp *Topology) sampleQueues() {
 	now := tp.Eng.Now()
 	for _, l := range tp.links {
-		rate := 0.0
-		if l.cap != nil {
-			rate = l.cap.RateAt(now)
-		}
 		tp.qEvBuf = telemetry.Event{T: int64(now), Type: telemetry.TypeQueue, Flow: -1,
-			Link: l.label, Queue: int64(l.QueuedBytes()), Rate: rate}
+			Link: l.label, Queue: int64(l.QueuedBytes()), Rate: l.cap.RateAt(now)}
 		tp.sampleTracer.Emit(&tp.qEvBuf)
 	}
 	tp.Eng.AfterCall(queueSampleEvery, topoSampleCb, tp)

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -150,7 +151,7 @@ func TestTopologyValidation(t *testing.T) {
 		mut  func(*TopologyConfig)
 		want string
 	}{
-		{"no label", func(c *TopologyConfig) { c.Links[0].Label = "" }, "no label"},
+		{"unlabelled beside a second link", func(c *TopologyConfig) { c.Links[0].Label = "" }, "no label"},
 		{"no capacity", func(c *TopologyConfig) { c.Links[1].Capacity = nil }, "no capacity"},
 		{"unknown node", func(c *TopologyConfig) { c.Links[0].To = "zz" }, "unknown node"},
 		{"self loop", func(c *TopologyConfig) { c.Links[0].To = "a" }, "self-loop"},
@@ -165,6 +166,25 @@ func TestTopologyValidation(t *testing.T) {
 			t.Errorf("%s: error = %v, want containing %q", tc.name, err, tc.want)
 		}
 	}
+
+	// A sole link may go unlabelled: the single-bottleneck encoding.
+	sole := base()
+	sole.Links = sole.Links[:1]
+	sole.Links[0].Label = ""
+	if _, err := NewTopology(sole); err != nil {
+		t.Errorf("sole unlabelled link rejected: %v", err)
+	}
+
+	// New goes through the same checks: a nil capacity fails at
+	// construction instead of at the first service.
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "no capacity") {
+				t.Errorf("New without a capacity: recovered %v, want a no-capacity panic", r)
+			}
+		}()
+		New(Config{MinRTT: 10 * time.Millisecond})
+	}()
 
 	tp, err := NewTopology(base())
 	if err != nil {

@@ -66,9 +66,6 @@ type Config struct {
 	PPO rl.Config
 	// Train enables transition recording into the agent's buffer.
 	Train bool
-	// Deterministic uses the policy mean instead of sampling (inference
-	// without exploration noise).
-	Deterministic bool
 	// Seed drives agent construction when Agent is nil.
 	Seed int64
 }
@@ -383,30 +380,20 @@ func (r *Controller) prepTick(now time.Duration) bool {
 // — with per-decision seeded noise via applyMean.
 func (r *Controller) infer() {
 	if r.cfg.Train {
-		if r.cfg.Deterministic {
-			r.actBuf = append(r.actBuf[:0], r.agent.Policy.Mean(r.stateBuf)...)
-			r.inferLogp, r.inferVal = 0, 0
-		} else {
-			act, logp, val := r.agent.Act(r.stateBuf)
-			r.actBuf = append(r.actBuf[:0], act...)
-			r.inferLogp, r.inferVal = logp, val
-		}
+		act, logp, val := r.agent.Act(r.stateBuf)
+		r.actBuf = append(r.actBuf[:0], act...)
+		r.inferLogp, r.inferVal = logp, val
 		return
 	}
 	r.applyMean(r.agent.Policy.Mean(r.stateBuf))
 }
 
-// applyMean turns a policy mean into this controller's action:
-// verbatim when deterministic, otherwise perturbed with exploration
-// noise that is a pure function of (flow seed, decision index) — so
-// the same decision gets the same noise whether it was evaluated solo
-// or in any batch. The batcher scatters batched GEMM rows back
-// through this.
+// applyMean turns a policy mean into this controller's action,
+// perturbed with exploration noise that is a pure function of (flow
+// seed, decision index) — so the same decision gets the same noise
+// whether it was evaluated solo or in any batch. The batcher scatters
+// batched GEMM rows back through this.
 func (r *Controller) applyMean(mean []float64) {
-	if r.cfg.Deterministic {
-		r.actBuf = append(r.actBuf[:0], mean...)
-		return
-	}
 	seed := rl.Mix(r.noiseBase + uint64(r.decisions))
 	r.actBuf = r.agent.Policy.SampleFrom(mean, seed, r.actBuf)
 }
