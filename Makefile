@@ -72,19 +72,24 @@ bench-lab:
 	LAB_BENCH=1 LAB_BENCH_GUARD=1 $(GO) test ./internal/lab/ -run TestBenchLab -count=1 -v
 
 # Short fuzz pass over the parsers that accept external input (the
-# Mahimahi trace reader, the FaultPlan JSON decoder, and the TopoSpec
-# JSON decoder) and the lab's plan mutation operator (bounds +
-# injector safety).
+# Mahimahi trace reader, the FaultPlan JSON decoder, the TopoSpec JSON
+# decoder, the event-stream decoder feeding every offline reader, the
+# -slo parser and the lab spec file) and the lab's plan mutation
+# operator (bounds + injector safety).
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParseMahimahi -fuzztime=10s ./internal/trace/
 	$(GO) test -run=NONE -fuzz=FuzzParsePlan -fuzztime=10s ./internal/netem/faults/
 	$(GO) test -run=NONE -fuzz=FuzzPlanMutate -fuzztime=10s ./internal/netem/faults/
 	$(GO) test -run=NONE -fuzz=FuzzParseTopo -fuzztime=10s ./internal/exp/
+	$(GO) test -run=NONE -fuzz=FuzzReadEach -fuzztime=10s ./internal/analyze/
+	$(GO) test -run=NONE -fuzz=FuzzParseSLOs -fuzztime=10s ./internal/analyze/
+	$(GO) test -run=NONE -fuzz=FuzzSpecFile -fuzztime=10s ./internal/lab/
 
 # Trace→analytics smoke: record a short two-flow run with -trace-out,
 # check the stream against the event schema, pipe it through
 # `libra-trace analyze -json`, and assert the report parses and covers
-# every flow with completed control cycles.
+# every flow, each named from its flow span, with completed control
+# cycles.
 analyze:
 	tmp=$$(mktemp -d) && \
 	$(GO) run ./cmd/libra-sim -cca c-libra,c-libra -capacity 24 -dur 5s -seed 7 -trace-out $$tmp/events.jsonl >/dev/null && \

@@ -5,21 +5,27 @@
 // answers the paper's evaluation asks for: winner histograms and
 // early-exit rates (Fig. 17), per-cycle utility decomposition into
 // the Eq. 1 terms, stage-duration attribution, streaming rate/RTT/
-// queue percentiles, windowed Jain fairness across flows, and anomaly
-// flags (post-blackout rate collapse, no-ACK streaks, utility
-// regressions). A sweep's stream holds many runs whose flow IDs
-// restart at 0; the detectors and the fairness windows are scoped to one
-// run, which ends at the harness's scenario span.
+// queue percentiles, windowed Jain fairness across flows, per-profile
+// SLOs and throughput, and anomaly flags (post-blackout rate collapse,
+// no-ACK streaks, utility regressions).
+//
+// The stream is the only source. A flow is named by its flow:<cca>
+// span. A sweep's stream holds many runs whose flow IDs restart at 0,
+// each ended by a scenario span, and an ID takes its latest run's name
+// and profile. The detectors, Jain windows, SLO windows and profile
+// throughput are per run, summed or averaged over runs in the report;
+// FlowReport's counters and sketches pool a flow ID over all runs.
 //
 // The detectors are one fold, Detector, which taps needing only them
 // (flight-dump triggers, lab evaluations) use alone; the Analyzer feeds
 // one and reports its counters.
 //
 // Memory discipline: nothing is retained per event. State is O(flows)
-// sketches and counters, the open run's O(windows × flows) fairness
-// accumulators and one Jain value per closed window — a few KB per flow
-// for arbitrarily long traces — and the steady-state feed path performs
-// no allocation (guarded by TestFeedBudget).
+// sketches and counters, the open run's O(windows × flows) window
+// accumulators, one Jain value per closed window and per-spec and
+// per-profile tallies — a few KB per flow for arbitrarily long traces —
+// and the steady-state feed path performs no allocation (guarded by
+// TestFeedBudget).
 //
 // Determinism: analyses merge (Merge) by pure count/bucket addition
 // in caller-fixed order, so a multi-file analysis produces
@@ -29,9 +35,11 @@ package analyze
 
 import (
 	"io"
+	"maps"
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -96,36 +104,13 @@ var stageNames = [nStages]string{"explore", "eval-1", "eval-2", "exploit"}
 // stageIndex maps a stage name to its index; -1 when unknown.
 func stageIndex(s string) int { return slices.Index(stageNames[:], s) }
 
-// Event-type indices into Analyzer.byType, for the types the schema
-// defines; feed's switch counts each under its own index.
-const (
-	tyStage = iota
-	tyEarlyExit
-	tyDecision
-	tyNoAck
-	tyEnqueue
-	tyDrop
-	tyQueue
-	tyAction
-	tyFault
-	tySpan
-	tyAnomaly
-	tyProfile
-	nTypes
-)
-
-var typeNames = [nTypes]telemetry.Type{
-	telemetry.TypeStage, telemetry.TypeEarlyExit, telemetry.TypeDecision, telemetry.TypeNoAck,
-	telemetry.TypeEnqueue, telemetry.TypeDrop, telemetry.TypeQueue, telemetry.TypeAction,
-	telemetry.TypeFault, telemetry.TypeSpan, telemetry.TypeAnomaly, telemetry.TypeProfile,
-}
-
 // flowState is the bounded per-flow accumulator.
 type flowState struct {
-	id   int
+	id int
+	// name is the controller of the flow's latest flow:<cca> span.
 	name string
-	// profile is the utility-profile label bound by a TypeProfile
-	// event; rttSpecs indexes the RTT-based SLO specs that apply.
+	// profile is the utility-profile label the latest TypeProfile event
+	// bound; rttSpecs indexes the RTT-based SLO specs that apply.
 	profile  string
 	rttSpecs []int
 	// firstLink pins the flow's ingress hop: multi-hop streams
@@ -296,40 +281,41 @@ type Analyzer struct {
 	cfg    Config
 	det    *Detector // the anomaly detectors and the latest event time
 	events int64
-	// byType counts the schema's event types by ty* index; others
-	// counts the types outside it, which a lax-decoded foreign stream
-	// can carry.
-	byType [nTypes]int64
+	// byType counts the schema's event types by their index in
+	// telemetry.Types; others counts the types outside it, which a
+	// lax-decoded foreign stream can carry.
+	byType [len(telemetry.Types)]int64
 	others map[telemetry.Type]int64
 	flows  map[int]*flowState
 	link   linkState
 	links  map[string]*linkState // per labelled link, multi-hop traces only
-	// wins are the open run's fairness windows, by index; jains holds
-	// the per-window Jain index of every run closed so far, in order,
-	// and past those runs' windows pooled by index, which the throughput
-	// SLOs read.
-	wins  map[int64]*window
-	jains []float64
-	past  map[int64]*window
-	slo   []map[int64]*sloWin // per RTT-based spec, by window index
+	// The open run: its fairness windows and each RTT-based SLO spec's
+	// windows by index, the profile each flow was bound to in it, and
+	// its latest event time. closed holds what the runs before it left.
+	wins    map[int64]*window
+	slo     []map[int64]*sloWin
+	runProf map[int]string
+	runT    int64
+	closed  tallies
 }
 
 // New returns an empty analyzer.
 func New(cfg Config) *Analyzer {
 	a := &Analyzer{
-		cfg:    cfg.withDefaults(),
-		det:    NewDetector(nil),
-		others: make(map[telemetry.Type]int64),
-		flows:  make(map[int]*flowState, 8),
-		link:   newLinkState(),
-		links:  make(map[string]*linkState, 4),
-		wins:   make(map[int64]*window, 64),
-		past:   make(map[int64]*window),
+		cfg:     cfg.withDefaults(),
+		det:     NewDetector(nil),
+		others:  make(map[telemetry.Type]int64),
+		flows:   make(map[int]*flowState, 8),
+		link:    newLinkState(),
+		links:   make(map[string]*linkState, 4),
+		wins:    make(map[int64]*window, 64),
+		runProf: make(map[int]string, 4),
 	}
 	a.slo = make([]map[int64]*sloWin, len(a.cfg.SLOs))
 	for i := range a.slo {
 		a.slo[i] = make(map[int64]*sloWin, 16)
 	}
+	a.closed = newTallies(a.cfg.SLOs)
 	return a
 }
 
@@ -341,15 +327,6 @@ func (a *Analyzer) Enabled() bool { return true }
 func (a *Analyzer) Emit(e *telemetry.Event) {
 	a.mu.Lock()
 	a.feed(e)
-	a.mu.Unlock()
-}
-
-// RegisterFlow labels a flow id (e.g. with its controller name) for
-// reports and the live dashboard; safe before or after the flow's
-// first event.
-func (a *Analyzer) RegisterFlow(id int, name string) {
-	a.mu.Lock()
-	a.flow(id).name = name
 	a.mu.Unlock()
 }
 
@@ -387,9 +364,14 @@ func (a *Analyzer) linkFor(label string) *linkState {
 func (a *Analyzer) feed(e *telemetry.Event) {
 	a.events++
 	a.det.Emit(e)
+	a.runT = max(a.runT, e.T)
+	if i := slices.Index(telemetry.Types[:], e.Type); i >= 0 {
+		a.byType[i]++
+	} else {
+		a.others[e.Type]++
+	}
 	switch e.Type {
 	case telemetry.TypeStage:
-		a.byType[tyStage]++
 		fs := a.flow(e.Flow)
 		fs.events++
 		if si := stageIndex(e.Stage); si >= 0 {
@@ -407,18 +389,12 @@ func (a *Analyzer) feed(e *telemetry.Event) {
 			fs.rateMbps.Add(e.Rate * 8 / 1e6)
 		}
 	case telemetry.TypeEarlyExit:
-		a.byType[tyEarlyExit]++
 		fs := a.flow(e.Flow)
 		fs.events++
 		fs.earlyExits++
-	case telemetry.TypeDecision:
-		a.byType[tyDecision]++
-		a.feedCycle(e)
-	case telemetry.TypeNoAck:
-		a.byType[tyNoAck]++
+	case telemetry.TypeDecision, telemetry.TypeNoAck:
 		a.feedCycle(e)
 	case telemetry.TypeEnqueue:
-		a.byType[tyEnqueue]++
 		fs := a.flow(e.Flow)
 		fs.events++
 		fs.queueBytes.Add(float64(e.Queue))
@@ -437,40 +413,35 @@ func (a *Analyzer) feed(e *telemetry.Event) {
 		}
 		w.bytes[e.Flow] += e.Bytes
 	case telemetry.TypeDrop:
-		a.byType[tyDrop]++
 		a.feedLink(e)
 		if e.Flow >= 0 {
 			fs := a.flow(e.Flow)
 			fs.events++
 			fs.drops++
 		}
-	case telemetry.TypeQueue:
-		a.byType[tyQueue]++
-		a.feedLink(e)
-	case telemetry.TypeFault:
-		a.byType[tyFault]++
+	case telemetry.TypeQueue, telemetry.TypeFault:
 		a.feedLink(e)
 	case telemetry.TypeAction:
-		a.byType[tyAction]++
 		fs := a.flow(e.Flow)
 		fs.events++
 	case telemetry.TypeProfile:
-		a.byType[tyProfile]++
 		a.bindProfile(a.flow(e.Flow), e.Name)
-	case telemetry.TypeAnomaly:
-		a.byType[tyAnomaly]++
-	case telemetry.TypeSpan:
-		a.byType[tySpan]++
-		if isRunEnd(e) {
-			// The run's fairness windows fold into per-window Jain
-			// values over its own senders; the next run reuses the
-			// window indices.
-			a.jains = appendJains(a.jains, a.wins)
-			addWindows(a.past, a.wins)
-			clear(a.wins)
+		if e.Name != "" {
+			a.runProf[e.Flow] = e.Name
 		}
-	default:
-		a.others[e.Type]++
+	case telemetry.TypeSpan:
+		if name, ok := strings.CutPrefix(e.Name, "flow:"); ok && e.Flow >= 0 && e.Reason == telemetry.SpanBegin {
+			a.flow(e.Flow).name = name
+		} else if isRunEnd(e) {
+			// The next run reuses the flow IDs and window indices.
+			a.closeRun(&a.closed)
+			clear(a.wins)
+			for _, w := range a.slo {
+				clear(w)
+			}
+			clear(a.runProf)
+			a.runT = 0
+		}
 	}
 }
 
@@ -496,15 +467,15 @@ func (a *Analyzer) feedCycle(e *telemetry.Event) {
 		fs.skipped++
 	} else {
 		fs.decided++
-		wi := winnerIndex(e.Winner)
-		if wi >= 0 {
+		if wi := winnerIndex(e.Winner); wi >= 0 {
 			fs.wins[wi]++
 		}
 		// The winner utility's Eq. 1 decomposition. The traced triple is
 		// present (thr>0) for every winner scored on a real interval.
 		if e.Thr > 0 {
+			_, u := e.Chosen()
 			fs.decompCycles++
-			fs.uSum += winnerUtility(e, wi)
+			fs.uSum += u
 			fs.thrSum += a.cfg.Util.Alpha * math.Pow(e.Thr, a.cfg.Util.T)
 			fs.delaySum += a.cfg.Util.Beta * e.Thr * math.Max(0, e.Grad)
 			fs.lossSum += a.cfg.Util.Gamma * e.Thr * math.Max(0, e.Loss)
@@ -537,12 +508,14 @@ func (a *Analyzer) Finalize() {
 
 // Merge folds b into a (b is left untouched but must not be feeding
 // concurrently). Counts and sums add, sketches merge bucket-wise, max
-// streaks take the max. Closed runs' fairness values append after a's;
-// the open run's windows union by window index, so flow-disjoint shards
-// of one run merge exactly. Order-sensitive detector state (EWMAs, open
-// stages, pending watches) does not carry across shards — Finalize each
-// shard first. Merging in a fixed shard order yields byte-identical
-// reports at any worker count.
+// streaks take the max, and b's flow names and profiles replace a's,
+// since b is the later shard. Closed runs' Jain values append after
+// a's and their SLO and throughput tallies add; the open run's windows
+// union by window index, so flow-disjoint shards of one run merge
+// exactly. Order-sensitive detector state (EWMAs, open stages, pending
+// watches) does not carry across shards — Finalize each shard first.
+// Merging in a fixed shard order yields byte-identical reports at any
+// worker count.
 func (a *Analyzer) Merge(b *Analyzer) {
 	if b == nil || b == a {
 		return
@@ -562,12 +535,10 @@ func (a *Analyzer) Merge(b *Analyzer) {
 	a.det.merge(b.det)
 	for id, bf := range b.flows {
 		af := a.flow(id)
-		if af.name == "" {
+		if bf.name != "" {
 			af.name = bf.name
 		}
-		if af.profile == "" {
-			a.bindProfile(af, bf.profile)
-		}
+		a.bindProfile(af, bf.profile)
 		if !af.haveFirstLink {
 			af.firstLink, af.haveFirstLink = bf.firstLink, bf.haveFirstLink
 		}
@@ -597,13 +568,9 @@ func (a *Analyzer) Merge(b *Analyzer) {
 	for label, bl := range b.links {
 		a.linkFor(label).merge(bl)
 	}
-	a.jains = append(a.jains, b.jains...)
+	a.closed.merge(&b.closed)
 	addWindows(a.wins, b.wins)
-	addWindows(a.past, b.past)
-	for si := range b.slo {
-		if si >= len(a.slo) {
-			break // differing configs; keep a's spec view
-		}
+	for si := range min(len(a.slo), len(b.slo)) {
 		for idx, bw := range b.slo[si] {
 			aw, ok := a.slo[si][idx]
 			if !ok {
@@ -615,6 +582,8 @@ func (a *Analyzer) Merge(b *Analyzer) {
 			aw.sum += bw.sum
 		}
 	}
+	maps.Copy(a.runProf, b.runProf)
+	a.runT = max(a.runT, b.runT)
 }
 
 // ReadStream decodes a JSONL event stream and feeds every event into

@@ -302,22 +302,49 @@ func TestReadStreamMatchesLiveTap(t *testing.T) {
 	}
 }
 
-func TestRegisterFlowNames(t *testing.T) {
+// A flow is named by its flow:<cca> span begin. When runs reuse a flow
+// ID the latest run's name stands, and in Merge the later shard's; a
+// shard that never saw the span keeps the name it is merged into.
+func TestFlowNamesFromSpans(t *testing.T) {
+	span := func(flow int, name, reason string) *telemetry.Event {
+		return &telemetry.Event{Type: telemetry.TypeSpan, Flow: flow, Reason: reason, Name: name}
+	}
 	a := New(Config{})
-	a.RegisterFlow(0, "c-libra")
+	for _, e := range []*telemetry.Event{
+		span(0, "flow:cubic", telemetry.SpanBegin),
+		span(1, "flow:bbr", telemetry.SpanBegin),
+		span(0, "flow:cubic", telemetry.SpanEnd),
+		span(-1, "scenario:a", telemetry.SpanEnd),
+		span(0, "flow:c-libra", telemetry.SpanBegin),
+		span(0, "cycle:0", telemetry.SpanBegin),
+	} {
+		a.Emit(e)
+	}
 	synthTrace(a)
-	a.RegisterFlow(1, "rl-libra")
 	a.Finalize()
-	r := a.Report()
-	if r.Flows[0].Name != "c-libra" || r.Flows[1].Name != "rl-libra" {
-		t.Fatalf("names = %q/%q", r.Flows[0].Name, r.Flows[1].Name)
+	names := func(a *Analyzer) [2]string {
+		r := a.Report()
+		return [2]string{r.Flows[0].Name, r.Flows[1].Name}
+	}
+	if got, want := names(a), [2]string{"c-libra", "bbr"}; got != want {
+		t.Fatalf("names = %q, want %q", got, want)
 	}
 	var txt bytes.Buffer
-	if err := r.WriteText(&txt); err != nil {
+	if err := a.Report().WriteText(&txt); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(txt.String(), "flow 0 (c-libra)") {
 		t.Fatalf("text report missing flow name:\n%s", txt.String())
+	}
+
+	later := New(Config{})
+	later.Emit(span(1, "flow:copa", telemetry.SpanBegin))
+	unnamed := New(Config{})
+	synthTrace(unnamed)
+	a.Merge(later)
+	a.Merge(unnamed)
+	if got, want := names(a), [2]string{"c-libra", "copa"}; got != want {
+		t.Fatalf("merged names = %q, want %q", got, want)
 	}
 }
 

@@ -113,15 +113,6 @@ func (d *Detector) flow(id int) *detFlow {
 
 func byID(f *detFlow, id int) int { return cmp.Compare(f.id, id) }
 
-// winnerUtility is the traced utility of a decision's winner wi; 0 for
-// an unknown winner.
-func winnerUtility(e *telemetry.Event, wi int) float64 {
-	if wi < 0 {
-		return 0
-	}
-	return [nWinners]float64{winPrev: e.UPrev, winCl: e.UCl, winRl: e.URl}[wi]
-}
-
 // decision folds one end-of-cycle argmax event in.
 func (d *Detector) decision(e *telemetry.Event) {
 	f := d.flow(e.Flow)
@@ -131,7 +122,7 @@ func (d *Detector) decision(e *telemetry.Event) {
 	// utility falls under a quarter of the (positive) running EWMA is
 	// regressing; three consecutive regressing cycles flag one
 	// regression episode.
-	u := winnerUtility(e, winnerIndex(e.Winner))
+	_, u := e.Chosen()
 	if !f.ewmaInit {
 		f.uEwma, f.ewmaInit = u, true
 	} else {

@@ -146,13 +146,13 @@ func (a *Analyzer) Report() *Report {
 
 	r := &Report{
 		Events: a.events,
-		ByType: make(map[string]int64, nTypes+len(a.others)),
+		ByType: make(map[string]int64, len(a.byType)+len(a.others)),
 		SpanMs: float64(a.det.lastT) / 1e6,
 		Flows:  []FlowReport{},
 	}
 	for i, n := range a.byType {
 		if n > 0 {
-			r.ByType[string(typeNames[i])] = n
+			r.ByType[string(telemetry.Types[i])] = n
 		}
 	}
 	for t, n := range a.others {
@@ -179,9 +179,13 @@ func (a *Analyzer) Report() *Report {
 		r.Links = append(r.Links, linkReport(label, a.links[label]))
 	}
 
-	r.Fairness = a.fairnessReport(ids)
-	r.Profiles, r.ProfileFairness = a.profileReports()
-	r.SLOs = a.sloReports()
+	// The open run closes into a copy of the tallies, by the step a
+	// scenario span end takes.
+	closed := a.closed.clone()
+	a.closeRun(&closed)
+	r.Fairness = a.fairnessReport(ids, closed.jains)
+	r.Profiles, r.ProfileFairness = a.profileReports(closed.thr)
+	r.SLOs = a.sloReports(closed.slo)
 	return r
 }
 
@@ -270,20 +274,19 @@ func (a *Analyzer) flowReport(fs *flowState) FlowReport {
 	return fr
 }
 
-// fairnessReport summarises the windowed Jain index of every run: each
-// window's index is over the flows that sent in its run (absent flows
-// count as zero in a window — a silent flow is unfairness, not a
-// smaller denominator), and a run in which fewer than two flows sent
-// adds no window. Flows counts the flow IDs that sent anywhere in the
-// trace. The open run counts as it stands. Callers hold a.mu.
-func (a *Analyzer) fairnessReport(ids []int) FairnessReport {
+// fairnessReport summarises the windowed Jain index of every run, one
+// value per window in jains: each window's index is over the flows that
+// sent in its run (absent flows count as zero in a window — a silent
+// flow is unfairness, not a smaller denominator), and a run in which
+// fewer than two flows sent adds no window. Flows counts the flow IDs
+// that sent anywhere in the trace. Callers hold a.mu.
+func (a *Analyzer) fairnessReport(ids []int, jains []float64) FairnessReport {
 	fr := FairnessReport{WindowMs: float64(a.cfg.Window) / 1e6}
 	for _, id := range ids {
 		if a.flows[id].sentBytes > 0 {
 			fr.Flows++
 		}
 	}
-	jains := appendJains(append([]float64(nil), a.jains...), a.wins)
 	var sum float64
 	min := 1.0
 	for _, j := range jains {

@@ -2,6 +2,9 @@ package analyze
 
 import (
 	"fmt"
+	"maps"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -11,7 +14,7 @@ import (
 
 // SLO metrics the evaluator understands. RTT metrics accumulate on the
 // feed path (per-spec windowed counters, mergeable additively);
-// throughput metrics evaluate at report time from the fairness
+// throughput metrics evaluate at each run's end from its fairness
 // windows' per-flow byte counts.
 const (
 	SLOP95RTTMs    = "p95_rtt_ms"
@@ -53,6 +56,8 @@ func (s SLOSpec) rttBased() bool {
 }
 
 // ParseSLO parses "profile:metric<=threshold" / "profile:metric>=threshold".
+// The profile must be non-blank and the threshold finite, so that String
+// prints a form that parses back to the same spec.
 func ParseSLO(spec string) (SLOSpec, error) {
 	fail := func() (SLOSpec, error) {
 		return SLOSpec{}, fmt.Errorf(
@@ -60,10 +65,10 @@ func ParseSLO(spec string) (SLOSpec, error) {
 			spec, SLOP95RTTMs, SLOP99RTTMs, SLOMeanRTTMs, SLOMeanThrMbps)
 	}
 	i := strings.Index(spec, ":")
-	if i <= 0 {
+	out := SLOSpec{Profile: strings.TrimSpace(spec[:max(i, 0)])}
+	if out.Profile == "" {
 		return fail()
 	}
-	out := SLOSpec{Profile: strings.TrimSpace(spec[:i])}
 	rest := spec[i+1:]
 	op := "<="
 	j := strings.Index(rest, "<=")
@@ -77,7 +82,7 @@ func ParseSLO(spec string) (SLOSpec, error) {
 	out.Metric = strings.TrimSpace(rest[:j])
 	out.Op = op
 	v, err := strconv.ParseFloat(strings.TrimSpace(rest[j+2:]), 64)
-	if err != nil {
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 		return fail()
 	}
 	out.Threshold = v
@@ -188,22 +193,138 @@ func (s SLOSpec) violated(w *sloWin) bool {
 	return false
 }
 
+// thrTally sums one profile's per-run, per-flow mean throughputs
+// (Mbit/s) over the runs that added one.
+type thrTally struct {
+	sum  float64
+	runs int
+}
+
+// tallies is what closed runs leave behind: every fairness window's
+// Jain value in order, each SLO spec's evaluated and met windows and
+// first violation (config order; +Inf while none, Attainment unset) and
+// each profile's throughput.
+type tallies struct {
+	jains []float64
+	slo   []SLOReport
+	thr   map[string]thrTally
+}
+
+func newTallies(specs []SLOSpec) tallies {
+	t := tallies{slo: make([]SLOReport, len(specs)), thr: make(map[string]thrTally)}
+	for i, spec := range specs {
+		t.slo[i] = SLOReport{Spec: spec, FirstViolationMs: math.Inf(1)}
+	}
+	return t
+}
+
+// clone returns an independent copy, which a report closes the open
+// run into.
+func (t *tallies) clone() tallies {
+	return tallies{jains: slices.Clone(t.jains), slo: slices.Clone(t.slo), thr: maps.Clone(t.thr)}
+}
+
+// merge adds o's tallies into t, appending o's Jain values after t's.
+// Specs pair up by config index; o's extra specs are dropped.
+func (t *tallies) merge(o *tallies) {
+	t.jains = append(t.jains, o.jains...)
+	for i := range min(len(t.slo), len(o.slo)) {
+		t.slo[i].Windows += o.slo[i].Windows
+		t.slo[i].Met += o.slo[i].Met
+		t.slo[i].FirstViolationMs = min(t.slo[i].FirstViolationMs, o.slo[i].FirstViolationMs)
+	}
+	for p, ot := range o.thr {
+		t.thr[p] = thrTally{t.thr[p].sum + ot.sum, t.thr[p].runs + ot.runs}
+	}
+}
+
+// evaluated counts one window of winMs, starting idx windows into its
+// run.
+func (r *SLOReport) evaluated(idx int64, winMs float64, met bool) {
+	r.Windows++
+	if met {
+		r.Met++
+	} else {
+		r.FirstViolationMs = min(r.FirstViolationMs, float64(idx)*winMs)
+	}
+}
+
+// closeRun is the one run-end step: it folds the open run into t, and
+// leaves it as it is for a report to close into a copy. The fairness
+// windows become Jain values. An RTT spec tallies its own windows; a
+// throughput spec the fairness windows anybody sent in, where the
+// per-flow mean send rate of the flows the run bound to its profile must
+// clear the floor. Each profile bound in the run gets the bytes its
+// flows sent over the run's length (its latest event time: the scenario
+// span end, once closed), per flow, unless no flow sent at all. Callers
+// hold a.mu.
+func (a *Analyzer) closeRun(t *tallies) {
+	t.jains = appendJains(t.jains, a.wins)
+	flows := make(map[string]int, len(a.runProf))
+	for _, p := range a.runProf {
+		flows[p]++
+	}
+	winSec, winMs := float64(a.cfg.Window)/1e9, float64(a.cfg.Window)/1e6
+	for si, spec := range a.cfg.SLOs {
+		if spec.rttBased() {
+			for idx, w := range a.slo[si] {
+				t.slo[si].evaluated(idx, winMs, !spec.violated(w))
+			}
+			continue
+		}
+		if flows[spec.Profile] == 0 {
+			continue
+		}
+		for idx, w := range a.wins {
+			var total, mine int64
+			for f, n := range w.bytes {
+				total += n
+				if a.runProf[f] == spec.Profile {
+					mine += n
+				}
+			}
+			if total > 0 {
+				thr := float64(mine) * 8 / 1e6 / winSec / float64(flows[spec.Profile])
+				t.slo[si].evaluated(idx, winMs, thr >= spec.Threshold)
+			}
+		}
+	}
+
+	sent := make(map[string]int64, len(flows))
+	var total int64
+	for _, w := range a.wins {
+		for f, n := range w.bytes {
+			total += n
+			sent[a.runProf[f]] += n
+		}
+	}
+	if total == 0 || a.runT <= 0 {
+		return
+	}
+	for p, n := range flows {
+		thr := float64(sent[p]) * 8 / 1e6 / (float64(a.runT) / 1e9) / float64(n)
+		t.thr[p] = thrTally{t.thr[p].sum + thr, t.thr[p].runs + 1}
+	}
+}
+
 // ProfileReport aggregates the flows bound to one utility profile.
 type ProfileReport struct {
-	Profile     string    `json:"profile"`
-	Flows       []int     `json:"flows"`
-	MeanThrMbps float64   `json:"mean_thr_mbps"` // per-flow mean over the whole trace
+	Profile string `json:"profile"`
+	Flows   []int  `json:"flows"`
+	// MeanThrMbps is the per-flow mean throughput of each run the
+	// profile took part in, averaged over those runs.
+	MeanThrMbps float64   `json:"mean_thr_mbps"`
 	RTTMs       Quantiles `json:"rtt_ms"`
 }
 
-// SLOReport is one spec's windowed attainment.
+// SLOReport is one spec's windowed attainment over every run.
 type SLOReport struct {
 	Spec       SLOSpec `json:"spec"`
 	Windows    int     `json:"windows"`
 	Met        int     `json:"met"`
 	Attainment float64 `json:"attainment"` // met / windows
-	// FirstViolationMs is the start of the earliest violating window,
-	// -1 when the objective held everywhere.
+	// FirstViolationMs is the run-relative start of the earliest
+	// violating window, -1 when the objective held everywhere.
 	FirstViolationMs float64 `json:"first_violation_ms"`
 }
 
@@ -235,28 +356,25 @@ func (a *Analyzer) profileIDs() (names []string, members map[string][]int) {
 	return names, members
 }
 
-// profileReports summarises every profile seen in the stream, plus the
-// cross-profile fairness index. Callers hold a.mu.
-func (a *Analyzer) profileReports() ([]ProfileReport, *ProfileFairness) {
+// profileReports summarises every profile seen in the stream, with its
+// throughput from thr, plus the cross-profile fairness index. Callers
+// hold a.mu.
+func (a *Analyzer) profileReports(thr map[string]thrTally) ([]ProfileReport, *ProfileFairness) {
 	names, members := a.profileIDs()
 	if len(names) == 0 {
 		return nil, nil
 	}
-	spanSec := float64(a.det.lastT) / 1e9
 	out := make([]ProfileReport, 0, len(names))
 	thrs := make([]float64, 0, len(names))
 	for _, p := range names {
 		pr := ProfileReport{Profile: p, Flows: members[p]}
 		rtt := stats.NewSketch(0)
-		var bytes int64
 		for _, id := range members[p] {
-			fs := a.flows[id]
-			rtt.Merge(fs.rttMs)
-			bytes += fs.sentBytes
+			rtt.Merge(a.flows[id].rttMs)
 		}
 		pr.RTTMs = QuantilesOf(rtt)
-		if spanSec > 0 && len(members[p]) > 0 {
-			pr.MeanThrMbps = float64(bytes) * 8 / 1e6 / spanSec / float64(len(members[p]))
+		if t := thr[p]; t.runs > 0 {
+			pr.MeanThrMbps = t.sum / float64(t.runs)
 		}
 		thrs = append(thrs, pr.MeanThrMbps)
 		out = append(out, pr)
@@ -270,95 +388,20 @@ func (a *Analyzer) profileReports() ([]ProfileReport, *ProfileFairness) {
 	return out, pf
 }
 
-// pooledWindows returns every run's fairness windows pooled by window
-// index, the view the throughput SLOs are evaluated on. Callers hold
-// a.mu.
-func (a *Analyzer) pooledWindows() map[int64]*window {
-	if len(a.past) == 0 {
-		return a.wins
-	}
-	all := make(map[int64]*window, len(a.past))
-	addWindows(all, a.past)
-	addWindows(all, a.wins)
-	return all
-}
-
-// sloReports evaluates every configured spec whose profile appears in
-// the stream, in config order. Callers hold a.mu.
-func (a *Analyzer) sloReports() []SLOReport {
+// sloReports reports every configured spec whose profile appears in the
+// stream, in config order, from its tally. Callers hold a.mu.
+func (a *Analyzer) sloReports(tally []SLOReport) []SLOReport {
 	_, members := a.profileIDs()
-	if len(members) == 0 {
-		return nil
-	}
-	winSec := float64(a.cfg.Window) / 1e9
-	winMs := float64(a.cfg.Window) / 1e6
 	var out []SLOReport
-	for si, spec := range a.cfg.SLOs {
-		ids := members[spec.Profile]
-		if len(ids) == 0 {
+	for _, sr := range tally {
+		if len(members[sr.Spec.Profile]) == 0 {
 			continue
-		}
-		sr := SLOReport{Spec: spec, FirstViolationMs: -1}
-		if spec.rttBased() {
-			idxs := make([]int64, 0, len(a.slo[si]))
-			for idx := range a.slo[si] {
-				idxs = append(idxs, idx)
-			}
-			sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-			for _, idx := range idxs {
-				w := a.slo[si][idx]
-				if w.n == 0 {
-					continue
-				}
-				sr.Windows++
-				if spec.violated(w) {
-					if sr.FirstViolationMs < 0 {
-						sr.FirstViolationMs = float64(idx) * winMs
-					}
-				} else {
-					sr.Met++
-				}
-			}
-		} else {
-			// Throughput objective: per window, the profile's per-flow
-			// mean enqueue rate must clear the floor. Windows with no
-			// traffic anywhere are dead air (post-run tail), not
-			// violations; windows where others sent and this profile
-			// didn't count against it.
-			wins := a.pooledWindows()
-			idxs := make([]int64, 0, len(wins))
-			for idx := range wins {
-				idxs = append(idxs, idx)
-			}
-			sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-			for _, idx := range idxs {
-				w := wins[idx]
-				var total, mine int64
-				for f, n := range w.bytes {
-					total += n
-					for _, id := range ids {
-						if f == id {
-							mine += n
-							break
-						}
-					}
-				}
-				if total == 0 {
-					continue
-				}
-				sr.Windows++
-				thr := float64(mine) * 8 / 1e6 / winSec / float64(len(ids))
-				if thr < spec.Threshold {
-					if sr.FirstViolationMs < 0 {
-						sr.FirstViolationMs = float64(idx) * winMs
-					}
-				} else {
-					sr.Met++
-				}
-			}
 		}
 		if sr.Windows > 0 {
 			sr.Attainment = float64(sr.Met) / float64(sr.Windows)
+		}
+		if math.IsInf(sr.FirstViolationMs, 1) {
+			sr.FirstViolationMs = -1
 		}
 		out = append(out, sr)
 	}

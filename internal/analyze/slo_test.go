@@ -35,6 +35,9 @@ func TestParseSLO(t *testing.T) {
 		"p:p95_rtt_ms>=5",    // RTT bounds use <=
 		"p:p95_rtt_ms<=abc",  // bad threshold
 		"p:<=5",              // empty metric
+		" :p95_rtt_ms<=1",    // blank profile
+		"p:p95_rtt_ms<=NaN",  // no finite threshold
+		"p:p95_rtt_ms<=+Inf", // no finite threshold
 	}
 	for _, in := range invalid {
 		if got, err := ParseSLO(in); err == nil {

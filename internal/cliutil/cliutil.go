@@ -90,7 +90,6 @@ func (r *Rig) Open(seed int64, topo *exp.TopoSpec) (*exp.RunContext, error) {
 		live := analyze.New(analyze.Config{})
 		serve(*r.httpAddr, dashboardMux(rc.Metrics, r.ts, topo, live))
 		sinks = append(sinks, live)
-		rc.Live = live
 		fmt.Printf("live dashboard: http://%s/\n", *r.httpAddr)
 	}
 	rc.Tracer = telemetry.Multi(sinks...)

@@ -53,11 +53,6 @@ type RunContext struct {
 	// learning CCAs mutate their normaliser and sample from the policy
 	// RNG at inference time.
 	Agents *AgentSet
-	// Live receives flow-id → controller-name registrations as the
-	// runner builds flows; the live dashboard implements it. Nil
-	// disables. Implementations must be safe for concurrent use —
-	// Sweep jobs share their parent's registrar.
-	Live FlowRegistrar
 	// Health, when set, has every network engine the runner builds
 	// registered for the duration of its run, feeding the runtime
 	// health gauges. Health is goroutine-safe and shared by Sweep jobs;
@@ -86,13 +81,6 @@ type RunContext struct {
 	// train builds the lazy agent set for a seed; a seam for tests that
 	// must observe training calls without paying for real training.
 	train func(seed int64) *AgentSet
-}
-
-// FlowRegistrar labels flow ids for live observers (see
-// RunContext.Live). Defined here rather than in the analyzer so exp
-// does not depend on the analytics engine.
-type FlowRegistrar interface {
-	RegisterFlow(id int, name string)
 }
 
 // NewRunContext returns a ready-to-use context for the given seed with
@@ -178,13 +166,13 @@ func (rc *RunContext) Reseed(seed int64) *RunContext {
 	return rc
 }
 
-// quiet returns a copy of the context that records nothing: no events,
-// no live registrations, and a private registry nobody reads. A timing
-// repeat of a run that is already recorded uses it, so the repeat's
-// flows are not counted twice.
+// quiet returns a copy of the context that records nothing: no events
+// and a private registry nobody reads. A timing repeat of a run that is
+// already recorded uses it, so the repeat's flows are not counted
+// twice.
 func (rc *RunContext) quiet() *RunContext {
 	q := *rc
-	q.Tracer, q.Live, q.Metrics = nil, nil, telemetry.NewRegistry()
+	q.Tracer, q.Metrics = nil, telemetry.NewRegistry()
 	return &q
 }
 
@@ -201,7 +189,6 @@ func (rc *RunContext) child(i int) *RunContext {
 		Metrics:   telemetry.NewRegistry(),
 		FaultPlan: rc.FaultPlan,
 		Topo:      rc.Topo,
-		Live:      rc.Live,
 		Health:    rc.Health,
 		NoBatch:   rc.NoBatch,
 		Batch:     rc.Batch,

@@ -215,14 +215,15 @@ func (rc *RunContext) run(s Scenario, mks []Maker, starts []time.Duration, bucke
 
 	rc.EmitSpan(0, -1, "scenario:"+s.Name, true)
 	batcher := rc.newBatcher()
-	names := make([]string, len(mks))
+	// names holds each flow's controller by flow ID, as its span says.
+	names := make([]string, 0, len(mks))
 	for i, mk := range mks {
 		var start time.Duration
 		if i < len(starts) {
 			start = starts[i]
 		}
 		ctrl := mk(seedOf(i))
-		names[i] = ctrl.Name()
+		names = append(names, ctrl.Name())
 		rc.EmitSpan(0, i, "flow:"+names[i], true)
 		rc.AttachTracer(ctrl, i)
 		rc.attachBatcher(batcher, ctrl, i)
@@ -231,7 +232,6 @@ func (rc *RunContext) run(s Scenario, mks []Maker, starts []time.Duration, bucke
 		}
 		flows = append(flows, tp.AddFlowOn(main, ctrl, start, 0))
 	}
-	idx := len(mks)
 	for _, cf := range cross {
 		cca := cf.CCA
 		if cca == "" {
@@ -247,21 +247,23 @@ func (rc *RunContext) run(s Scenario, mks []Maker, starts []time.Duration, bucke
 		}
 		start := time.Duration(cf.StartS * float64(time.Second))
 		for k := 0; k < count; k++ {
+			idx := len(names)
 			ctrl := mk(sweep.SubSeed(rc.Seed, idx))
+			names = append(names, ctrl.Name())
+			rc.EmitSpan(0, idx, "flow:"+names[idx], true)
 			rc.AttachTracer(ctrl, idx)
 			rc.attachBatcher(batcher, ctrl, idx)
 			f := tp.AddFlowOn(routes[cf.Route], ctrl, start, 0)
 			if cf.RateMbps > 0 {
 				f.SetAppRate(trace.Mbps(cf.RateMbps))
 			}
-			idx++
 		}
 	}
 
 	tp.Run(s.Duration)
 	rc.recordBatch(batcher)
-	for i := range flows {
-		rc.EmitSpan(s.Duration.Nanoseconds(), i, "flow:"+names[i], false)
+	for i, name := range names {
+		rc.EmitSpan(s.Duration.Nanoseconds(), i, "flow:"+name, false)
 	}
 	rc.EmitSpan(s.Duration.Nanoseconds(), -1, "scenario:"+s.Name, false)
 	bott := tp.RouteBottleneck(main, s.Duration)

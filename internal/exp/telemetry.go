@@ -199,14 +199,8 @@ func (rc *RunContext) EmitAnomaly(t int64, flow int, reason string) {
 }
 
 // AttachTracer wires the context's tracer into a freshly built
-// controller, when one is configured and the controller supports it,
-// and registers the flow id with the live observer.
+// controller, when one is configured and the controller supports it.
 func (rc *RunContext) AttachTracer(ctrl any, flowID int) {
-	if rc.Live != nil {
-		if nm, ok := ctrl.(interface{ Name() string }); ok {
-			rc.Live.RegisterFlow(flowID, nm.Name())
-		}
-	}
 	if !telemetry.Enabled(rc.Tracer) {
 		return
 	}

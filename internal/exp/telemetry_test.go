@@ -2,10 +2,12 @@ package exp
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"libra/internal/analyze"
 	"libra/internal/telemetry"
 	"libra/internal/trace"
 )
@@ -151,5 +153,112 @@ func TestDatacenterExperimentTraced(t *testing.T) {
 	}
 	if parallel, _ := run(4); !bytes.Equal(parallel, serial) {
 		t.Errorf("event stream differs between workers=1 and workers=4 (%d vs %d bytes)", len(serial), len(parallel))
+	}
+}
+
+// analyzeRuns feeds the runs, in order, into a fresh analyzer and
+// returns its report.
+func analyzeRuns(runs ...[]telemetry.Event) *analyze.Report {
+	a := analyze.New(analyze.Config{})
+	for _, run := range runs {
+		for i := range run {
+			a.Emit(&run[i])
+		}
+	}
+	a.Finalize()
+	return a.Report()
+}
+
+// A recorded three-run profile sweep reads, as a whole, what its runs
+// read alone: each SLO's windows and met windows are the sums over the
+// runs, and each profile's mean throughput is the mean of its per-run
+// values, each a share of the 48 Mbps link.
+func TestProfileSweepAnalyzedPerRun(t *testing.T) {
+	var buf bytes.Buffer
+	rec := telemetry.NewRecorder(&buf)
+	rc := NewRunContext(3)
+	rc.Tracer = rec
+	s := WiredScenarios(3*time.Second, 48)[0]
+	s.Profiles = []string{"bulk", "low-latency", "background"}
+	mks := []Maker{untrained("cubic"), untrained("c-libra"), untrained("c-libra")}
+	Sweep(rc, 3, func(jc *RunContext, _ int) []Metrics { return jc.RunFlows(s, mks, nil, 0) })
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := telemetry.ReadAll(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs [][]telemetry.Event
+	start := 0
+	for i, e := range evs {
+		if e.Type == telemetry.TypeSpan && e.Flow == -1 && e.Reason == telemetry.SpanEnd && strings.HasPrefix(e.Name, "scenario:") {
+			runs = append(runs, evs[start:i+1])
+			start = i + 1
+		}
+	}
+	if len(runs) != 3 || start != len(evs) {
+		t.Fatalf("split %d events into %d runs ending at %d, want 3 runs covering the stream", len(evs), len(runs), start)
+	}
+
+	whole := analyzeRuns(runs...)
+	alone := make([]*analyze.Report, len(runs))
+	for i, run := range runs {
+		alone[i] = analyzeRuns(run)
+	}
+	if len(whole.SLOs) != 3 {
+		t.Fatalf("whole stream reports %d SLOs, want 3 (bulk, low-latency, background)", len(whole.SLOs))
+	}
+	for i, w := range whole.SLOs {
+		var windows, met int
+		for _, r := range alone {
+			windows += r.SLOs[i].Windows
+			met += r.SLOs[i].Met
+		}
+		if w.Windows != windows || w.Met != met || windows == 0 {
+			t.Errorf("%s: whole stream %d/%d windows met, runs alone %d/%d", w.Spec, w.Met, w.Windows, met, windows)
+		}
+	}
+	for i, p := range whole.Profiles {
+		var sum float64
+		for _, r := range alone {
+			sum += r.Profiles[i].MeanThrMbps
+		}
+		want := sum / float64(len(alone))
+		if math.Abs(p.MeanThrMbps-want) > 1e-9*want || !(want > 0 && want < 48) {
+			t.Errorf("%s: whole-stream mean throughput %v Mbps, per-run mean %v", p.Profile, p.MeanThrMbps, want)
+		}
+	}
+}
+
+// An analyzer tapping a traced sweep with cross traffic names every
+// flow, main and cross, from the stream alone, and reports identically
+// at any worker count.
+func TestSweepNamesEveryFlow(t *testing.T) {
+	report := func(workers int) []byte {
+		a := analyze.New(analyze.Config{})
+		rc := &RunContext{Seed: 5, Workers: workers, Tracer: a}
+		s := topoScenario(time.Second)
+		mks := []Maker{untrained("bbr"), untrained("copa")}
+		Sweep(rc, 8, func(jc *RunContext, _ int) []Metrics { return jc.RunFlows(s, mks, nil, 0) })
+		a.Finalize()
+		r := a.Report()
+		want := []string{"bbr", "copa", "cubic", "cubic", "cubic"}
+		if len(r.Flows) != len(want) {
+			t.Fatalf("workers=%d: %d flows reported, want %d", workers, len(r.Flows), len(want))
+		}
+		for i, f := range r.Flows {
+			if f.Name != want[i] {
+				t.Errorf("workers=%d: flow %d named %q, want %q", workers, f.ID, f.Name, want[i])
+			}
+		}
+		var b bytes.Buffer
+		if err := r.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	if serial, parallel := report(1), report(4); !bytes.Equal(serial, parallel) {
+		t.Error("report differs between workers=1 and workers=4")
 	}
 }

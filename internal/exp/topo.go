@@ -106,7 +106,7 @@ func (ts *TopoSpec) check() error {
 		if l.DipFrac != 0 && !(l.DipFrac > 0 && l.DipFrac <= 1) {
 			return fmt.Errorf("topo: link %q dip_frac = %v outside (0,1]", l.Label, l.DipFrac)
 		}
-		if l.DelayMs < 0 || l.Loss < 0 || l.Loss >= 1 || l.Buffer < 0 || l.ECN < 0 || l.PeriodS < 0 {
+		if l.DelayMs < 0 || l.Loss < 0 || l.Loss >= 1 || l.Buffer < 0 || l.ECN < 0 || !(l.PeriodS >= 0 && l.PeriodS <= MaxPeriodS) {
 			return fmt.Errorf("topo: link %q has a negative or out-of-range parameter", l.Label)
 		}
 	}
@@ -170,6 +170,11 @@ func (l *TopoLink) meanMbps() float64 {
 	}
 	return l.CapMbps * (1 + l.DipFrac) / 2
 }
+
+// MaxPeriodS bounds a capacity shape's period_s (a day). Half of it
+// must convert to a positive time.Duration; the bound sits far above any
+// run the harness makes and far below where that conversion overflows.
+const MaxPeriodS = 86400
 
 // Trace materialises the link's capacity shape: a square wave that
 // spends half of each period at CapMbps and half at CapMbps*DipFrac,

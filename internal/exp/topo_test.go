@@ -78,6 +78,11 @@ func TestParseTopoRejects(t *testing.T) {
 		{"route over undeclared link",
 			`{"nodes":["a","b"],"links":[{"label":"l","from":"a","to":"b","cap_mbps":10}],"routes":[{"name":"m","links":["zz"]}],"main":"m"}`,
 			"unknown link"},
+		// Half of this period overflows time.Duration: the step trace
+		// would have a negative period and serve at 0.
+		{"period past the bound",
+			`{"nodes":["a","b"],"links":[{"label":"l","from":"a","to":"b","cap_mbps":10,"dip_frac":0.5,"period_s":1e12}],"routes":[{"name":"m","links":["l"]}],"main":"m"}`,
+			"out-of-range"},
 	}
 	for _, tc := range cases {
 		if _, err := ParseTopo([]byte(tc.body)); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -218,6 +223,7 @@ func FuzzParseTopo(f *testing.F) {
 	f.Add(`{"nodes":["a","b"],"links":[{"label":"l","from":"a","to":"b","cap_mbps":10},{"label":"r","from":"b","to":"a","cap_mbps":10}],"routes":[{"name":"m","links":["l","r","l"]}],"main":"m"}`)
 	f.Add(`{"nodes":[],"links":[],"routes":[],"main":""}`)
 	f.Add(`not json at all`)
+	f.Add(`{"nodes":["a","b"],"links":[{"label":"l","from":"a","to":"b","cap_mbps":10,"dip_frac":0.5,"period_s":4}],"routes":[{"name":"m","links":["l"]}],"main":"m"}`)
 	f.Fuzz(func(t *testing.T, body string) {
 		ts, err := ParseTopo([]byte(body))
 		if err != nil {
@@ -229,6 +235,14 @@ func FuzzParseTopo(f *testing.F) {
 		}
 		if _, _, err := ts.Build(TopoBuild{Seed: 1}); err != nil {
 			t.Fatalf("validated spec fails to build: %v\nspec: %s", err, body)
+		}
+		// Every link serves at both levels of its shape.
+		for _, l := range ts.Links {
+			tr := l.Trace()
+			half := time.Duration(l.PeriodS * float64(time.Second) / 2)
+			if r0, r1 := tr.RateAt(0), tr.RateAt(half); !(r0 > 0 && r1 > 0) {
+				t.Fatalf("link %q rates %v at 0 and %v at %v\nspec: %s", l.Label, r0, r1, half, body)
+			}
 		}
 	})
 }

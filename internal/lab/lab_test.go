@@ -48,17 +48,18 @@ func TestSpecValidateRejects(t *testing.T) {
 		t.Fatalf("default spec invalid: %v", err)
 	}
 	for name, mut := range map[string]func(*Spec){
-		"no target":      func(s *Spec) { s.Target = "" },
-		"unknown target": func(s *Spec) { s.Target = "nope" },
-		"zero capacity":  func(s *Spec) { s.CapMbps = 0 },
-		"bad dip":        func(s *Spec) { s.DipFrac = 1.5 },
-		"neg period":     func(s *Spec) { s.PeriodS = -1 },
-		"neg rtt":        func(s *Spec) { s.RTTMs = -1 },
-		"neg cross":      func(s *Spec) { s.Cross = -1 },
-		"zero duration":  func(s *Spec) { s.DurS = 0 },
-		"bad plan":       func(s *Spec) { s.Plan = &faults.Plan{Blackouts: &faults.Blackouts{}} },
-		"unknown topo":   func(s *Spec) { s.Topo = "moebius-strip" },
-		"bad cross_at":   func(s *Spec) { s.CrossAt = 1.5 },
+		"no target":       func(s *Spec) { s.Target = "" },
+		"unknown target":  func(s *Spec) { s.Target = "nope" },
+		"zero capacity":   func(s *Spec) { s.CapMbps = 0 },
+		"bad dip":         func(s *Spec) { s.DipFrac = 1.5 },
+		"neg period":      func(s *Spec) { s.PeriodS = -1 },
+		"period overflow": func(s *Spec) { s.DipFrac, s.PeriodS = 0.5, 1e12 },
+		"neg rtt":         func(s *Spec) { s.RTTMs = -1 },
+		"neg cross":       func(s *Spec) { s.Cross = -1 },
+		"zero duration":   func(s *Spec) { s.DurS = 0 },
+		"bad plan":        func(s *Spec) { s.Plan = &faults.Plan{Blackouts: &faults.Blackouts{}} },
+		"unknown topo":    func(s *Spec) { s.Topo = "moebius-strip" },
+		"bad cross_at":    func(s *Spec) { s.CrossAt = 1.5 },
 	} {
 		sp := good
 		mut(&sp)
@@ -153,6 +154,29 @@ func TestEvalTopology(t *testing.T) {
 	}
 	if a.ThrMbps <= 0 || a.ThrMbps > sp.CapMbps+1 {
 		t.Fatalf("topo eval throughput %.2f Mbps out of range", a.ThrMbps)
+	}
+}
+
+// On a topology the fault plan lands on the hop the spec reshapes, even
+// when the new capacity leaves another hop the slowest: on parking-lot
+// at 96 Mbps the shape goes on h0 of the preset's three 48 Mbps hops,
+// and so does the plan, which the scenario no longer carries itself.
+func TestTopoSpecPlanOnReshapedHop(t *testing.T) {
+	sp := DefaultSpec("cubic", 1, 4)
+	sp.Topo, sp.CapMbps = "parking-lot", 96
+	sp.Plan, _ = faults.Preset("blackout")
+	s := sp.Scenario()
+	if s.Faults != nil {
+		t.Errorf("scenario carries the plan itself: %+v", s.Faults)
+	}
+	for _, l := range s.Topo.Links {
+		shaped, planned := l.CapMbps == 96, l.Faults != nil
+		if want := l.Label == "h0"; shaped != want || planned != want {
+			t.Errorf("link %s: shaped %v, plan %v; want both %v", l.Label, shaped, planned, want)
+		}
+	}
+	if err := s.Topo.Validate(); err != nil {
+		t.Fatalf("reshaped topology invalid: %v", err)
 	}
 }
 

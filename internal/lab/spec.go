@@ -47,9 +47,9 @@ type Spec struct {
 	Plan *faults.Plan `json:"plan,omitempty"`
 	// Topo names a topology preset (exp.TopoPresetNames); empty runs
 	// the classic single bottleneck. With a topology, CapMbps/DipFrac/
-	// PeriodS reshape the main route's bottleneck hop, RTTMs rescales
-	// every propagation delay so the main route's two-way delay matches,
-	// and the fault plan lands on the bottleneck hop.
+	// PeriodS reshape the main route's bottleneck hop of the preset,
+	// the fault plan lands on that same hop, and RTTMs rescales every
+	// propagation delay so the main route's two-way delay matches.
 	Topo string `json:"topo,omitempty"`
 	// CrossAt places the Cross flows on the topology: a fraction mapped
 	// over the preset's route list (0 = first route, 1 = last). Only
@@ -110,8 +110,8 @@ func (sp *Spec) Validate() error {
 	if !(sp.DipFrac > 0 && sp.DipFrac <= 1) {
 		return fmt.Errorf("lab: spec dip_frac = %v outside (0,1]", sp.DipFrac)
 	}
-	if sp.PeriodS < 0 || sp.DipFrac < 1 && !(sp.PeriodS > 0) {
-		return bad("period_s", sp.PeriodS)
+	if !(sp.PeriodS >= 0 && sp.PeriodS <= exp.MaxPeriodS) || sp.DipFrac < 1 && sp.PeriodS == 0 {
+		return fmt.Errorf("lab: spec period_s = %v outside [0,%d] (positive when dip_frac < 1)", sp.PeriodS, exp.MaxPeriodS)
 	}
 	if !(sp.RTTMs > 0) || math.IsInf(sp.RTTMs, 0) {
 		return bad("rtt_ms", sp.RTTMs)
@@ -143,28 +143,32 @@ func (sp Spec) Name() string {
 
 // Scenario materialises the spec as an experiment scenario. The
 // single bottleneck takes its trace from the same TopoLink shape a
-// topology's bottleneck hop gets in topoSpec.
+// topology's bottleneck hop gets in topoSpec, and the fault plan as
+// Scenario.Faults; a topology carries the plan on that hop instead.
 func (sp Spec) Scenario() exp.Scenario {
 	bn := exp.TopoLink{CapMbps: sp.CapMbps, DipFrac: sp.DipFrac, PeriodS: sp.PeriodS}
-	return exp.Scenario{
+	s := exp.Scenario{
 		Name:     sp.Name(),
 		Capacity: bn.Trace(),
 		MinRTT:   time.Duration(sp.RTTMs * float64(time.Millisecond)),
 		Buffer:   150_000,
 		Duration: time.Duration(sp.DurS * float64(time.Second)),
-		Faults:   sp.Plan,
 		Topo:     sp.topoSpec(),
 	}
+	if s.Topo == nil {
+		s.Faults = sp.Plan
+	}
+	return s
 }
 
 // topoSpec materialises the topology half of the spec: the preset
-// reshaped by the scenario knobs. The bottleneck hop takes the spec's
-// trace shape, every propagation delay scales so the main route's
-// two-way delay matches RTTMs, and the preset's cross traffic is
-// replaced by the spec's own (Cross cubic flows on the CrossAt route).
-// Nil when the spec runs the classic single bottleneck. The fault plan
-// is NOT attached here — it flows through Scenario.Faults and lands on
-// the bottleneck hop inside exp's topology builder.
+// reshaped by the scenario knobs. The preset's main-route bottleneck hop
+// takes the spec's trace shape and fault plan, every propagation delay
+// scales so the main route's two-way delay matches RTTMs, and the
+// preset's cross traffic is replaced by the spec's own (Cross cubic
+// flows on the CrossAt route). The plan's injector binds with that
+// hop's link-index seed, as a scenario-level plan would. Nil when the
+// spec runs the classic single bottleneck.
 func (sp Spec) topoSpec() *exp.TopoSpec {
 	if sp.Topo == "" {
 		return nil
@@ -175,7 +179,7 @@ func (sp Spec) topoSpec() *exp.TopoSpec {
 	}
 	if bi := ts.MainBottleneck(); bi >= 0 {
 		l := &ts.Links[bi]
-		l.CapMbps, l.DipFrac, l.PeriodS = sp.CapMbps, sp.DipFrac, sp.PeriodS
+		l.CapMbps, l.DipFrac, l.PeriodS, l.Faults = sp.CapMbps, sp.DipFrac, sp.PeriodS, sp.Plan
 	}
 	// Scale delays so the main route's symmetric two-way propagation
 	// matches the spec's RTT.
@@ -277,16 +281,22 @@ func (sp Spec) WriteFile(path string) error {
 
 // ReadSpecFile loads and validates a spec artifact.
 func ReadSpecFile(path string) (Spec, error) {
-	var sp Spec
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return sp, fmt.Errorf("lab: %w", err)
+		return Spec{}, fmt.Errorf("lab: %w", err)
 	}
-	if err := json.Unmarshal(b, &sp); err != nil {
-		return sp, fmt.Errorf("lab: parse spec %s: %w", path, err)
-	}
-	if err := sp.Validate(); err != nil {
+	sp, err := parseSpec(b)
+	if err != nil {
 		return sp, fmt.Errorf("%w (in %s)", err, path)
 	}
 	return sp, nil
+}
+
+// parseSpec decodes and validates a spec artifact's JSON.
+func parseSpec(b []byte) (Spec, error) {
+	var sp Spec
+	if err := json.Unmarshal(b, &sp); err != nil {
+		return sp, fmt.Errorf("lab: parse spec: %w", err)
+	}
+	return sp, sp.Validate()
 }

@@ -83,6 +83,31 @@ const (
 	TypeProfile Type = "profile"
 )
 
+// Types lists every event type the current schema defines. It is the
+// one list: the stream validator accepts these types and the analyzer
+// counts events by their index in it. The order is how often a run
+// emits each type, most often first, so a linear search is short for
+// nearly every event (enqueues alone are over 90% of a recorded lab
+// stream).
+var Types = [...]Type{
+	TypeEnqueue, TypeDrop, TypeQueue, TypeStage, TypeDecision, TypeEarlyExit,
+	TypeNoAck, TypeAction, TypeFault, TypeSpan, TypeAnomaly, TypeProfile,
+}
+
+// MaxFlowID is the largest flow ID a decoded stream may carry; link
+// events carry -1. It sits far above any flow count the harness builds
+// (its largest run, the datacenter fabric, has 66 flows) and bounds the
+// per-flow state one foreign line can make a reader allocate.
+const MaxFlowID = 1 << 16
+
+// checkFlow rejects a flow ID outside [-1, MaxFlowID].
+func checkFlow(flow int) error {
+	if flow < -1 || flow > MaxFlowID {
+		return fmt.Errorf("flow %d outside [-1, %d]", flow, MaxFlowID)
+	}
+	return nil
+}
+
 // Span boundary reasons carried by TypeSpan events.
 const (
 	SpanBegin = "begin"
@@ -183,6 +208,21 @@ type Event struct {
 	// V is the event-schema version. Emitters leave it zero; Recorder
 	// stamps SchemaVersion on the way out so persisted streams carry it.
 	V int `json:"v,omitempty"`
+}
+
+// Chosen returns the rate (bytes/sec) and Eq. 1 utility of a decision's
+// winning candidate, or zeros when Winner names none of x_prev, x_cl and
+// x_rl.
+func (e *Event) Chosen() (rate, utility float64) {
+	switch e.Winner {
+	case "x_prev":
+		return e.XPrev, e.UPrev
+	case "x_cl":
+		return e.XCl, e.UCl
+	case "x_rl":
+		return e.XRl, e.URl
+	}
+	return 0, 0
 }
 
 // Time returns the event timestamp as a duration from simulation start.
@@ -325,6 +365,9 @@ func (d *Decoder) Next() (Event, error) {
 		}
 		var e Event
 		if err := json.Unmarshal(raw, &e); err != nil {
+			return Event{}, fmt.Errorf("telemetry: line %d: %w", d.line, err)
+		}
+		if err := checkFlow(e.Flow); err != nil {
 			return Event{}, fmt.Errorf("telemetry: line %d: %w", d.line, err)
 		}
 		return e, nil

@@ -189,14 +189,7 @@ func (c *TSCollector) Emit(e *Event) {
 				f.prof.rtt.Add(e.T, float64(e.RTT)/1e6)
 			}
 		}
-		// The chosen candidate's rate and Eq. 1 utility.
-		x, u := e.XPrev, e.UPrev
-		switch e.Winner {
-		case "x_cl":
-			x, u = e.XCl, e.UCl
-		case "x_rl":
-			x, u = e.XRl, e.URl
-		}
+		x, u := e.Chosen()
 		f.rate.Add(e.T, x*bytesToMbit)
 		f.util.Add(e.T, u)
 		if f.prof != nil {

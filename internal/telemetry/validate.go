@@ -6,31 +6,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 )
-
-// knownTypes is the set of event types the current schema defines.
-var knownTypes = map[Type]bool{
-	TypeStage:     true,
-	TypeEarlyExit: true,
-	TypeDecision:  true,
-	TypeNoAck:     true,
-	TypeEnqueue:   true,
-	TypeDrop:      true,
-	TypeQueue:     true,
-	TypeAction:    true,
-	TypeFault:     true,
-	TypeSpan:      true,
-	TypeAnomaly:   true,
-	TypeProfile:   true,
-}
 
 // ValidateStream checks a JSONL event stream against the current
 // schema: every line must be a JSON object with no unknown fields, a
-// known "type", and a version no newer than SchemaVersion. name labels
-// the stream in error messages (typically the file path); the first
-// violation is returned as "<name>:<line>: <problem>". A nil return
-// means the whole stream validated; n reports how many events were
-// checked either way.
+// known "type", a flow ID in [-1, MaxFlowID], and a version no newer
+// than SchemaVersion. name labels the stream in error messages
+// (typically the file path); the first violation is returned as
+// "<name>:<line>: <problem>". A nil return means the whole stream
+// validated; n reports how many events were checked either way.
 func ValidateStream(r io.Reader, name string) (n int64, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1<<20)
@@ -60,7 +45,10 @@ func ValidateStream(r io.Reader, name string) (n int64, err error) {
 				return n, fmt.Errorf("%s:%d: missing required field %q", name, line, req)
 			}
 		}
-		if !knownTypes[e.Type] {
+		if err := checkFlow(e.Flow); err != nil {
+			return n, fmt.Errorf("%s:%d: %w", name, line, err)
+		}
+		if !slices.Contains(Types[:], e.Type) {
 			return n, fmt.Errorf("%s:%d: unknown event type %q", name, line, e.Type)
 		}
 		if e.V > SchemaVersion {

@@ -55,6 +55,7 @@ func TestValidateStreamRejections(t *testing.T) {
 		{"missing type", `{"t":1,"flow":0}`, `missing required field "type"`},
 		{"missing flow", `{"t":1,"type":"stage"}`, `missing required field "flow"`},
 		{"future version", fmt.Sprintf(`{"t":1,"type":"stage","flow":0,"v":%d}`, SchemaVersion+1), "newer than this build"},
+		{"flow below -1", `{"t":1,"type":"enqueue","flow":-2,"bytes":1500}`, "flow -2 outside"},
 		{"not json", `garbage`, "invalid character"},
 	}
 	for _, tc := range cases {
@@ -87,5 +88,31 @@ func TestValidateStreamVersions(t *testing.T) {
 	n, err := ValidateStream(strings.NewReader(in), "s")
 	if err != nil || n != 2 {
 		t.Fatalf("got n=%d err=%v, want both versions accepted", n, err)
+	}
+}
+
+// A decoded flow ID sizes per-flow state in every offline reader (the
+// time-series collector indexes a slice by it), so a stream carrying
+// one past MaxFlowID is rejected by the decoder and the validator
+// alike, while the largest allowed ID reads.
+func TestFlowIDBounded(t *testing.T) {
+	line := func(flow int) string {
+		return fmt.Sprintf(`{"v":3,"t":1000,"type":"enqueue","flow":%d,"bytes":1500}`, flow)
+	}
+	for _, flow := range []int{2000000000, MaxFlowID + 1} {
+		err := ReadEach(strings.NewReader(line(flow)), func(*Event) { t.Fatalf("flow %d decoded", flow) })
+		if err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Errorf("ReadEach of flow %d: error %v, want a flow range error", flow, err)
+		}
+		if _, err := ValidateStream(strings.NewReader(line(flow)), "s"); err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Errorf("ValidateStream of flow %d: error %v, want a flow range error", flow, err)
+		}
+	}
+	evs, err := ReadAll(strings.NewReader(line(MaxFlowID)))
+	if err != nil || len(evs) != 1 || evs[0].Flow != MaxFlowID {
+		t.Errorf("flow %d: read %v, %v; want the one event", MaxFlowID, evs, err)
+	}
+	if _, err := ValidateStream(strings.NewReader(line(MaxFlowID)), "s"); err != nil {
+		t.Errorf("flow %d fails validation: %v", MaxFlowID, err)
 	}
 }

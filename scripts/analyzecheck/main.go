@@ -1,7 +1,8 @@
 // Command analyzecheck is the CI gate for the trace→analytics
 // pipeline: it reads a `libra-trace analyze -json` report on stdin
 // and exits non-zero unless the report parses, carries events, and
-// covers flows 0..n-1 with every flow completing control cycles.
+// covers flows 0..n-1 with every flow named from its flow span and
+// completing control cycles.
 //
 // Usage (see scripts/check.sh and `make analyze`):
 //
@@ -38,6 +39,9 @@ func main() {
 		if f.ID != i {
 			fatal(fmt.Errorf("flow at index %d has id %d, want contiguous ids 0..%d", i, f.ID, *flows-1))
 		}
+		if f.Name == "" {
+			fatal(fmt.Errorf("flow %d carries no name (its flow:<cca> span did not name it)", f.ID))
+		}
 		if f.Cycles == 0 || f.Decided == 0 {
 			fatal(fmt.Errorf("flow %d completed no control cycles (cycles=%d decided=%d)", f.ID, f.Cycles, f.Decided))
 		}
@@ -45,7 +49,7 @@ func main() {
 			fatal(fmt.Errorf("flow %d has no rate samples", f.ID))
 		}
 	}
-	fmt.Printf("analyzecheck: ok — %d events, %d flows, all with completed cycles\n", rep.Events, len(rep.Flows))
+	fmt.Printf("analyzecheck: ok — %d events, %d flows, all named and with completed cycles\n", rep.Events, len(rep.Flows))
 }
 
 func fatal(err error) {

@@ -17,16 +17,22 @@ go vet ./...
 go build ./...
 go test -race ./...
 # Fault-injection paths again under the race detector with full (non
-# -short) sweeps, then a short fuzz pass over the two external-input
-# parsers (the Mahimahi trace reader and the FaultPlan JSON decoder).
+# -short) sweeps.
 go test -race -count=1 ./internal/netem/faults/ ./internal/integration/
 # The parallel sweep paths (worker pool, per-job contexts, registry
 # merge) once more under the race detector.
 go test -race -count=1 ./internal/exp/ ./internal/sweep/
+# A short fuzz pass over every parser of external input: the Mahimahi
+# trace reader, the FaultPlan JSON decoder and its mutation operator,
+# the TopoSpec JSON decoder, the event-stream decoder feeding every
+# offline reader, the -slo parser and the lab spec file.
 go test -run=NONE -fuzz=FuzzParseMahimahi -fuzztime=10s ./internal/trace/
 go test -run=NONE -fuzz=FuzzParsePlan -fuzztime=10s ./internal/netem/faults/
 go test -run=NONE -fuzz=FuzzPlanMutate -fuzztime=10s ./internal/netem/faults/
 go test -run=NONE -fuzz=FuzzParseTopo -fuzztime=10s ./internal/exp/
+go test -run=NONE -fuzz=FuzzReadEach -fuzztime=10s ./internal/analyze/
+go test -run=NONE -fuzz=FuzzParseSLOs -fuzztime=10s ./internal/analyze/
+go test -run=NONE -fuzz=FuzzSpecFile -fuzztime=10s ./internal/lab/
 TELEMETRY_BENCH_GUARD=1 go test ./internal/telemetry/ -run TestNopTracerBudget -count=1 -v
 # The analyzer and detector feeds: 0 allocs/event and < 500 ns/event
 # (the standing mix, the recorded lab mix and the detector fold alone),
@@ -63,7 +69,8 @@ TOPO_BENCH=1 TOPO_BENCH_GUARD=1 go test ./internal/netem/ -run TestBenchTopo -co
 # Trace→analytics smoke: record a short two-flow run with -trace-out,
 # validate the stream against the event schema, pipe it through
 # `libra-trace analyze -json`, and assert the report parses and covers
-# every flow with completed control cycles.
+# every flow, each named from its flow span, with completed control
+# cycles.
 tmp=$(mktemp -d)
 go run ./cmd/libra-sim -cca c-libra,c-libra -capacity 24 -dur 5s -seed 7 -trace-out "$tmp/events.jsonl" >/dev/null
 go run ./cmd/libra-trace -validate "$tmp/events.jsonl"
